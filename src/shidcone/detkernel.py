@@ -211,6 +211,15 @@ def _build(target: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # builds of older sources or flags are never loaded again
+    for name in os.listdir(directory):
+        if name.startswith("detkernel-") and name.endswith(".so"):
+            stale = os.path.join(directory, name)
+            if stale != target:
+                try:
+                    os.unlink(stale)
+                except OSError:
+                    pass
 
 
 def _open_kernel() -> ctypes.CDLL:
@@ -412,6 +421,32 @@ def int_dict_to_poly(d: dict[int, int], den: int, nvars: int) -> Poly:
 # -- determinant by minor expansion ------------------------------------------
 
 
+def _check_exponent_room(rows: Sequence[Sequence[IntPolyLike]]) -> None:
+    """Raise ExponentOverflowError unless every product of one entry per row
+    fits the 8-bit fields.  A field of such a product is at most the sum over
+    rows of that field's largest value in the row; past PACK_MASK, adding
+    packed keys would carry into the next variable without any error."""
+    totals: dict[int, int] = {}
+    for row in rows:
+        peaks: dict[int, int] = {}
+        for entry in row:
+            for key in entry.to_dict():
+                shift = 0
+                while key:
+                    e = key & PACK_MASK
+                    if e > peaks.get(shift, 0):
+                        peaks[shift] = e
+                    key >>= PACK_BITS
+                    shift += PACK_BITS
+        for shift, e in peaks.items():
+            totals[shift] = totals.get(shift, 0) + e
+    for shift, total in totals.items():
+        if total > PACK_MASK:
+            raise ExponentOverflowError(
+                f"a minor's exponent can reach {total}, above the kernel's limit {PACK_MASK}"
+            )
+
+
 def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> IntPolyLike:
     """Determinant of a square matrix of kernel polynomials.
 
@@ -426,6 +461,7 @@ def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> IntPolyL
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix must be square")
+    _check_exponent_room(rows)
     minors = {(): impl.from_dict({0: 1})}
     for r in range(n):
         nxt = {}

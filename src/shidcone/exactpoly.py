@@ -12,6 +12,12 @@ significant field, so that *integer comparison of packed keys is exactly the
 pure-lex comparison*.  All operations guard against exponent-field overflow
 (which would silently corrupt results) by bounding total degrees.
 
+Division runs over the integers: the dividend's denominators are cleared
+once, the divisor is scaled to a primitive integer polynomial, and one heap
+division loop (in the style of Monagan and Pearce, "Sparse polynomial
+division using a heap", J. Symb. Comp. 46, 2011) works on ``int``
+coefficients; results are converted back to ``Fraction`` once at the end.
+
 No floating point is used anywhere in this module.
 """
 
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
@@ -69,16 +76,6 @@ def _key_degree(key: int) -> int:
         d += key & FIELD_MASK
         key >>= FIELD_BITS
     return d
-
-
-def _monomial_divides_key(bkey: int, akey: int) -> bool:
-    """True iff the monomial with key ``bkey`` divides the one with ``akey``."""
-    while bkey:
-        if (bkey & FIELD_MASK) > (akey & FIELD_MASK):
-            return False
-        bkey >>= FIELD_BITS
-        akey >>= FIELD_BITS
-    return True
 
 
 class UniPoly:
@@ -222,7 +219,7 @@ class Poly:
             raise ValueError("nvars must be >= 1")
         self.nvars = nvars
         self._terms = _terms if _terms is not None else {}
-        self._maxdeg = max(map(_key_degree, self._terms), default=-1)
+        self._maxdeg: int | None = None  # total degree, computed on first use
 
     # -- constructors ------------------------------------------------------
 
@@ -296,6 +293,8 @@ class Poly:
 
     def total_degree(self) -> int:
         """Maximal total degree of a term; -1 for the zero polynomial."""
+        if self._maxdeg is None:
+            self._maxdeg = max(map(_key_degree, self._terms), default=-1)
         return self._maxdeg
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
@@ -374,12 +373,11 @@ class Poly:
         self._check_compat(other)
         if not self._terms or not other._terms:
             return Poly(self.nvars)
-        # One O(1) overflow guard covers every product monomial: each packed
+        # One overflow guard covers every product monomial: each packed
         # field is bounded by the total degree, and degrees add under *.
-        if self._maxdeg + other._maxdeg > FIELD_MASK:
-            raise ExponentOverflowError(
-                f"product degree {self._maxdeg + other._maxdeg} exceeds {FIELD_MASK}"
-            )
+        degree = self.total_degree() + other.total_degree()
+        if degree > FIELD_MASK:
+            raise ExponentOverflowError(f"product degree {degree} exceeds {FIELD_MASK}")
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
@@ -397,7 +395,10 @@ class Poly:
                         out[k] = acc
                     else:
                         del out[k]
-        return Poly(self.nvars, out)
+        result = Poly(self.nvars, out)
+        # Q[x] is a domain: the top-degree parts multiply to a nonzero part.
+        result._maxdeg = degree
+        return result
 
     __rmul__ = __mul__
 
@@ -456,20 +457,31 @@ class Poly:
         return result
 
     def evaluate(self, point: Sequence[object]) -> Fraction:
-        """Exact evaluation at a rational point."""
+        """Exact evaluation at a rational point.
+
+        Runs over the integers: with v_i = n_i / d_i and t_i the largest
+        exponent of variable i, a term C * x^e of the cleared polynomial
+        (self = cleared / D) adds C * prod n_i^e_i * d_i^(t_i - e_i), and
+        the sum is divided once by D * prod d_i^t_i.
+        """
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
         vals = [to_rational(v) for v in point]
-        total = _F0
-        for k, c in self._terms.items():
-            term = c
-            for i in range(self.nvars - 1, -1, -1):
-                e = k & FIELD_MASK
-                if e:
-                    term *= vals[i] ** e
-                k >>= FIELD_BITS
-            total += term
-        return total
+        (terms,), den = clear_denominators([self])
+        monos = [_unpack(k, self.nvars) for k in terms]
+        top = [max(col) for col in zip(*monos)]
+        powers: list[dict[int, int]] = [{} for _ in vals]
+        total = 0
+        for mono, c in zip(monos, terms.values()):
+            for v, e, t, pw in zip(vals, mono, top, powers):
+                p = pw.get(e)
+                if p is None:
+                    p = pw[e] = v.numerator**e * v.denominator ** (t - e)
+                c *= p
+            total += c
+        for v, t in zip(vals, top):
+            den *= v.denominator**t
+        return Fraction(total, den)
 
     # -- rendering ---------------------------------------------------------
 
@@ -534,6 +546,92 @@ def substitute(f: Poly, var: int, g: Poly) -> Poly:
     return f.substitute(var, g)
 
 
+def clear_denominators(polys: Sequence[Poly]) -> tuple[list[dict[int, int]], int]:
+    """Integer terms of each polynomial under one common denominator d:
+    polys[i] = terms[i] / d.  Returns (terms, d)."""
+    den = 1
+    for f in polys:
+        for c in f._terms.values():
+            den = lcm(den, c.denominator)
+    terms = [{k: c.numerator * (den // c.denominator) for k, c in f._terms.items()} for f in polys]
+    return terms, den
+
+
+def _primitive(b: Poly) -> tuple[dict[int, int], Fraction]:
+    """b = content * B with B a primitive integer polynomial; returns (B, content)."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    (terms,), den = clear_denominators([b])
+    g = gcd(*terms.values())
+    return {k: v // g for k, v in terms.items()}, Fraction(g, den)
+
+
+def _divide(
+    work: dict[int, int], divisor: dict[int, int], exact: bool, quotient: bool
+) -> tuple[dict[int, object], dict[int, object]] | None:
+    """The division loop shared by every division in this module.
+
+    Divides the integer terms ``work`` (consumed) by the primitive integer
+    polynomial ``divisor`` under pure lex and returns (quotient terms,
+    remainder terms).  A max-heap of packed keys yields the dividend's
+    terms in descending order; reducing a term only adds smaller keys.
+
+    With ``exact`` the loop returns None at the first sign of a nonzero
+    remainder: a remainder term, or, by Gauss's lemma (a primitive integer
+    divisor of an integer polynomial leaves an integer quotient), a step
+    coefficient that is not a multiple of the leading coefficient.
+    Otherwise such a step yields a Fraction and the loop goes on.  Without
+    ``quotient`` no quotient terms are stored.
+    """
+    lead = max(divisor)
+    lc = divisor[lead]
+    rest = [(k, c) for k, c in divisor.items() if k != lead]
+    fields = []  # (shift, exponent) of each variable in the leading monomial
+    shift, k = 0, lead
+    while k:
+        if k & FIELD_MASK:
+            fields.append((shift, k & FIELD_MASK))
+        k >>= FIELD_BITS
+        shift += FIELD_BITS
+    quo: dict[int, object] = {}
+    rem: dict[int, object] = {}
+    heap = [-k for k in work]
+    heapify(heap)
+    while heap:
+        key = -heappop(heap)
+        c = work.pop(key, None)
+        if c is None:
+            continue  # stale heap entry
+        for shift, e in fields:
+            if (key >> shift) & FIELD_MASK < e:
+                if exact:
+                    return None
+                rem[key] = c
+                break
+        else:
+            qc, m = divmod(c, lc)
+            if m:
+                if exact:
+                    return None
+                qc = Fraction(c, lc)
+            qk = key - lead
+            if quotient:
+                quo[qk] = qc  # keys strictly descend, so each qk occurs once
+            for bk, bc in rest:
+                nk = qk + bk
+                prev = work.get(nk)
+                if prev is None:
+                    work[nk] = -qc * bc
+                    heappush(heap, -nk)
+                else:
+                    prev -= qc * bc
+                    if prev:
+                        work[nk] = prev
+                    else:
+                        del work[nk]
+    return quo, rem
+
+
 def division_with_remainder(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Single-divisor multivariate division under pure lex.
 
@@ -541,47 +639,15 @@ def division_with_remainder(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     initial monomial of b.  For a single divisor this property makes the
     remainder canonical, so r == 0 is a sound exact-divisibility test.
     """
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
+    divisor, content = _primitive(b)
     a._check_compat(b)
-    b_lead_key = max(b._terms)
-    b_lead_c = b._terms[b_lead_key]
-    b_rest = [(k, c) for k, c in b._terms.items() if k != b_lead_key]
-
-    rem: dict[int, Fraction] = {}
-    quo: dict[int, Fraction] = {}
-    work = dict(a._terms)
-    heap = [-k for k in work]
-    heapify(heap)
-    while heap:
-        key = -heappop(heap)
-        c = work.get(key)
-        if c is None:
-            continue  # stale heap entry
-        del work[key]
-        if _monomial_divides_key(b_lead_key, key):
-            qk = key - b_lead_key
-            qc = c / b_lead_c
-            acc = quo.get(qk, _F0) + qc
-            if acc:
-                quo[qk] = acc
-            else:
-                quo.pop(qk, None)
-            for bk, bc in b_rest:
-                nk = qk + bk
-                prev = work.get(nk)
-                if prev is None:
-                    work[nk] = -qc * bc
-                    heappush(heap, -nk)
-                else:
-                    prev = prev - qc * bc
-                    if prev:
-                        work[nk] = prev
-                    else:
-                        del work[nk]
-        else:
-            rem[key] = c
-    return Poly(a.nvars, quo), Poly(a.nvars, rem)
+    (work,), den = clear_denominators([a])
+    quo, rem = _divide(work, divisor, exact=False, quotient=True)
+    scale = content * den
+    return (
+        Poly(a.nvars, {k: c / scale for k, c in quo.items()}),
+        Poly(a.nvars, {k: Fraction(c, den) for k, c in rem.items()}),
+    )
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -590,24 +656,28 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     A failed exact division signals a violated algebraic identity upstream;
     results are never silently truncated.
     """
-    q, r = division_with_remainder(a, b)
-    if not r.is_zero():
-        raise DivisionNotExactError(
-            f"division not exact: remainder has {len(r)} terms"
-        )
-    return q
+    divisor, content = _primitive(b)
+    a._check_compat(b)
+    (work,), den = clear_denominators([a])
+    out = _divide(work, divisor, exact=True, quotient=True)
+    if out is None:
+        raise DivisionNotExactError("division not exact: nonzero remainder")
+    scale = content * den
+    return Poly(a.nvars, {k: c / scale for k, c in out[0].items()})
 
 
 def divides(b: Poly, a: Poly) -> bool:
     """True iff b divides a in the polynomial ring (divides(b, 0) is True)."""
-    if b.is_zero():
-        raise ZeroDivisionError("divisibility by the zero polynomial")
-    if a.is_zero():
-        return True
-    if a.total_degree() < b.total_degree():
-        return False
-    _, r = division_with_remainder(a, b)
-    return r.is_zero()
+    a._check_compat(b)
+    return divides_integer_terms(b, clear_denominators([a])[0][0])
+
+
+def divides_integer_terms(b: Poly, terms: dict[int, int]) -> bool:
+    """True iff b divides the polynomial with integer coefficients ``terms``
+    (packed keys of b's ring, no zero values).  Stops at the first
+    remainder term and never builds the quotient."""
+    divisor, _ = _primitive(b)
+    return _divide(dict(terms), divisor, exact=True, quotient=False) is not None
 
 
 def elementary_symmetric(nvars: int, gens: Sequence[Poly], n: int) -> Poly:

@@ -3,7 +3,13 @@
 Checks performed by :func:`saito_verify`:
 
   * membership: every basis derivation theta and hyperplane form alpha
-    satisfy  alpha | theta(alpha);
+    satisfy  alpha | theta(alpha).  This runs over the integers: theta's
+    coefficients are cleared to integers under one common denominator,
+    theta(alpha) = sum_i a_i theta(x_i) is an integer combination of them,
+    and the division by the primitive integer form alpha stops at the first
+    remainder term.  By Gauss's lemma a primitive integer divisor of an
+    integer polynomial leaves an integer quotient, so a step coefficient
+    that is not a multiple of the leading coefficient also ends it;
   * degrees: each nonzero phi_j(x_i) is homogeneous of degree 2(l-1),
     phi_j(z) = 0, and theta_E is the Euler field;
   * initial monomials: in(phi_i(x_i)) = x1^2 ... x_{i-1}^2 x_i^(2l-2i) with
@@ -33,9 +39,14 @@ Two exact strategies for the determinant identity:
     so their product Q/z divides det[phi_j(x_i)] (unique factorization);
     both are homogeneous of the same degree 2l(l-1) (degrees checked), so
     the quotient is a constant; it is pinned down exactly by one rational
-    evaluation at a point where Q does not vanish.  Every premise is checked
-    mechanically; the glue steps (Cramer, UFD, homogeneity of determinants)
-    are classical.  Default for l >= 6.
+    evaluation at a point where Q does not vanish.  Each phi entry is
+    evaluated once, in integer arithmetic, and the values serve both the
+    l x l and the full determinant.  The initial monomial and leading
+    coefficient of det are those of constant * prod(forms): the sum of the
+    forms' initial monomials and the product of their leading coefficients.
+    Every premise is checked mechanically; the glue steps (Cramer, UFD,
+    homogeneity of determinants) are classical.  Default for l >= 6; rank 6
+    verifies in about 1.3 s and rank 7 in about 7 s on a 2-vCPU VM.
 
 Both strategies report the same fields and agree wherever both run.
 """
@@ -55,8 +66,8 @@ from .detkernel import (
     int_dict_to_poly,
     poly_to_int_dict,
 )
-from .exactpoly import Poly, divides, exact_div
-from .shi_basis import Derivation, apply, basis
+from .exactpoly import Poly, clear_denominators, divides, divides_integer_terms, exact_div
+from .shi_basis import Derivation, basis
 
 _F1 = Fraction(1)
 
@@ -245,14 +256,26 @@ def minor_expansion_det(matrix: Sequence[Sequence[Poly]], fast: bool | None = No
 def check_membership(theta: Derivation, arr: Arrangement) -> dict[str, bool]:
     """For each hyperplane form alpha: does alpha divide theta(alpha)?
 
-    Failures are reported as entries, never raised.
+    For alpha = sum_i a_i x_i, theta(alpha) = sum_i a_i theta(x_i).  The
+    coefficients theta(x_i) are cleared to integers under one common
+    denominator, each image is built as an integer combination of them, and
+    the division runs over the integers (a positive scale does not change
+    divisibility).  Failures are reported as entries, never raised.
     """
     if arr.ell != theta.ell:
         raise ValueError("arrangement and derivation have different ranks")
+    columns, _ = clear_denominators(theta.coefficients())
     out: dict[str, bool] = {}
     for form in arr.forms:
-        fp = form.poly()
-        out[form.text()] = divides(fp, apply(theta, fp))
+        scale = lcm(*(a.denominator for a in form.coeffs))
+        image: dict[int, int] = {}
+        for column, a in zip(columns, form.coeffs):
+            if a:
+                a = int(a * scale)
+                for k, v in column.items():
+                    image[k] = image.get(k, 0) + a * v
+        image = {k: v for k, v in image.items() if v}
+        out[form.text()] = divides_integer_terms(form.poly(), image)
     return out
 
 
@@ -494,9 +517,9 @@ def _det_certify(
         qz_val *= v
     if qz_val == 0:
         raise AssertionError("evaluation point lies on the arrangement")
-    det_val = _exact_matrix_det(
-        [[phis[j].coeff_x[i].evaluate(point) for j in range(ell)] for i in range(ell)]
-    )
+    # each phi entry is evaluated once and shared by both determinants
+    values = [[phis[j].coeff_x[i].evaluate(point) for j in range(ell)] for i in range(ell)]
+    det_val = _exact_matrix_det(values)
     if det_val == 0:
         return fail
     constant = det_val / qz_val
@@ -504,21 +527,23 @@ def _det_certify(
     matches = constant == Fraction(1, dd)
     # full determinant: the z row is (z, 0, ..., 0), so det_full is
     # (-1)^ell * z * det[phi_j(x_i)]; check the same relation at the point.
-    full_val = _exact_matrix_det(
-        [
-            [d.coefficients()[r].evaluate(point) for d in derivs]
-            for r in range(nvars)
-        ]
-    )
+    full = [[euler.coeff_x[i].evaluate(point)] + values[i] for i in range(ell)]
+    full.append([euler.coeff_z.evaluate(point)] + [phi.coeff_z.evaluate(point) for phi in phis])
+    full_val = _exact_matrix_det(full)
     full_ok = full_val == Fraction(-1) ** ell * point[-1] * det_val
     det_initial = None
     det_lc = None
     if matches:
+        # det = constant * prod(forms): the initial monomial of a product is
+        # the sum of its factors' initial monomials, and likewise for the
+        # leading coefficient's product.
         init = [0] * nvars
-        for i in range(1, ell):
-            init[i - 1] = 4 * (ell - i)
-        det_initial = tuple(init)
         det_lc = constant
+        for form in arr.forms[1:]:
+            fp = form.poly()
+            init = [a + b for a, b in zip(init, fp.initial_monomial())]
+            det_lc *= fp.leading_coefficient()
+        det_initial = tuple(init)
     return {
         "det_matches_corollary": matches,
         "full_det_consistent": full_ok,

@@ -165,3 +165,14 @@ def test_criterion_7_finite_field_counts():
         ok = ok and charpoly_count(ell, q) == (q - 1) * (q - h) ** ell
     ok = ok and charpoly_count(3, 7) == 162
     _record(7, "finite-field point counts", ok, time.perf_counter() - t0, 60.0)
+
+
+def test_criterion_8_rank7_certify():
+    t0 = time.perf_counter()
+    ell = 7
+    rep = saito_verify(ell, method="certify")
+    memberships = [v for row in rep.membership.values() for v in row.values()]
+    ok = rep.saito_ok
+    ok = ok and rep.det_constant == Fraction(1, double_factorial(2 * ell - 3))
+    ok = ok and len(memberships) == (ell + 1) * (2 * ell * (ell - 1) + 1) and all(memberships)
+    _record(8, "saito_verify rank 7 (certify)", ok, time.perf_counter() - t0, 30.0)

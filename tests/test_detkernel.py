@@ -13,7 +13,7 @@ from shidcone.detkernel import (
     repack_key,
     unpack_key,
 )
-from shidcone.exactpoly import Poly
+from shidcone.exactpoly import ExponentOverflowError, Poly
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -124,6 +124,32 @@ def test_kernel_falls_back_without_compiler(monkeypatch, tmp_path):
     assert get_impl() is DictPoly
     with pytest.raises(RuntimeError, match="_detkernel.c .*no C compiler"):
         get_impl(fast=True)
+
+
+@pytest.mark.skipif(detkernel._find_compiler() is None, reason="no C compiler on PATH")
+def test_build_removes_stale_kernels(monkeypatch, tmp_path):
+    monkeypatch.setattr(detkernel, "_cache_dir", lambda: str(tmp_path))
+    (tmp_path / "detkernel-00000000.so").write_bytes(b"stale")
+    detkernel._open_kernel()  # the current build is absent here, so it is built
+    names = [p.name for p in tmp_path.iterdir()]
+    assert len(names) == 1
+    assert names[0].startswith("detkernel-") and names[0] != "detkernel-00000000.so"
+
+
+_COMPILED = pytest.mark.skipif(not HAS_FAST_KERNEL, reason="compiled kernel only")
+
+
+@pytest.mark.parametrize("fast", [False, pytest.param(True, marks=_COMPILED)])
+def test_minor_expansion_exponent_carry_raises(fast):
+    # z^300 does not fit an 8-bit field; the packed key sum would carry into
+    # x1 and read x1*z^44
+    from shidcone.verify import minor_expansion_det
+
+    x1, z, zero = Poly.variable(2, 0), Poly.variable(2, 1), Poly.zero(2)
+    with pytest.raises(ExponentOverflowError):
+        minor_expansion_det([[z**200, zero], [zero, z**100]], fast=fast)
+    # the guard is per variable: x1^200 * z^100 fits
+    assert minor_expansion_det([[x1**200, zero], [zero, z**100]], fast=fast) == x1**200 * z**100
 
 
 @pytest.mark.skipif(not HAS_FAST_KERNEL, reason="compiled kernel only")

@@ -88,6 +88,51 @@ def test_divides_by_zero_raises():
         divides(Poly.zero(N), X1)
 
 
+# Division runs over the integers with the divisor scaled to a primitive
+# integer polynomial; these divisors are non-monic, fractional, or carry an
+# integer content.
+
+
+def test_division_non_monic_divisor():
+    b = 3 * X1 - 2 * Z
+    # exact: every step coefficient is a multiple of 3
+    assert divides(b, b * (X1 + X2))
+    assert exact_div(b * (X1 - Z), b) == X1 - Z
+    # Gauss's lemma exit: the first step coefficient 1 is not a multiple of 3
+    assert not divides(b, X1 * Z)
+    with pytest.raises(DivisionNotExactError):
+        exact_div(X1 * Z, b)
+    # general division still takes the fractional step
+    q, r = division_with_remainder(X1**2, b)
+    assert q == Fraction(1, 3) * X1 + Fraction(2, 9) * Z
+    assert r == Fraction(4, 9) * Z**2
+    assert q * b + r == X1**2
+
+
+def test_division_fractional_divisor():
+    b = X1 + Fraction(1, 2) * Z
+    assert divides(b, X1**2 - Fraction(1, 4) * Z**2)
+    assert exact_div(X1**2 - Fraction(1, 4) * Z**2, b) == X1 - Fraction(1, 2) * Z
+    assert not divides(b, X1 * Z)
+    # 2*x1 + z is the primitive divisor: x1^2 gives the non-integral step 1/2
+    assert not divides(b, X1**2)
+    q, r = division_with_remainder(X1**2, b)
+    assert q == X1 - Fraction(1, 2) * Z
+    assert r == Fraction(1, 4) * Z**2
+
+
+def test_division_divisor_with_content():
+    b = 2 * X1 + 4 * Z
+    assert divides(b, X1 + 2 * Z)
+    assert exact_div(X1 + 2 * Z, b) == Poly.constant(N, Fraction(1, 2))
+    assert exact_div(b * (X2 - Z), b) == X2 - Z
+    assert not divides(b, X1 + Z)
+    q, r = division_with_remainder(X1 * X2 + Z, b)
+    assert q == Fraction(1, 2) * X2
+    assert r == Z - 2 * X2 * Z
+    assert q * b + r == X1 * X2 + Z
+
+
 def test_initial_monomial_prefers_x1():
     f = X1**2 + X1 * X2**3 + Z**5
     assert initial_monomial(f) == (2, 0, 0)
@@ -247,3 +292,28 @@ def test_division_with_remainder_invariant(a, b):
 def test_all_coefficients_stay_rational(a, b):
     for _, c in (a * b + a - b).terms():
         assert isinstance(c, Fraction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, nonzero_polys, nonzero_polys)
+def test_divides_agrees_with_remainder(a, b, c):
+    # the early exits of divides and exact_div answer as the full division does
+    for dividend in (a, a * b + c):
+        exact = division_with_remainder(dividend, b)[1].is_zero()
+        assert divides(b, dividend) == exact
+        if not exact:
+            with pytest.raises(DivisionNotExactError):
+                exact_div(dividend, b)
+    assert divides(b, a * b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, st.lists(coeffs, min_size=N, max_size=N))
+def test_evaluate_matches_termwise_sum(a, point):
+    expected = Fraction(0)
+    for mono, c in a.terms():
+        for v, e in zip(point, mono):
+            c *= v**e
+        expected += c
+    got = a.evaluate(point)
+    assert got == expected and isinstance(got, Fraction)

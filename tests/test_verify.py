@@ -4,7 +4,7 @@ import pytest
 
 from shidcone.arrangement import defining_poly, shi_d_cone
 from shidcone.exactpoly import Poly, divides, exact_div
-from shidcone.shi_basis import apply, basis
+from shidcone.shi_basis import Derivation, apply, basis
 from shidcone.verify import (
     VerificationReport,
     bareiss_det,
@@ -53,6 +53,54 @@ def test_membership_all_true_small_ranks(cached_basis):
         arr = shi_d_cone(ell)
         for d in cached_basis(ell):
             assert all(check_membership(d, arr).values())
+
+
+def _with_phi(derivs, j, coeff_x):
+    """derivs with phi_j's x-coefficients replaced."""
+    phi = derivs[j]
+    out = list(derivs)
+    out[j] = Derivation(phi.ell, phi.name, tuple(coeff_x), phi.coeff_z)
+    return out
+
+
+def _membership_mutants(derivs):
+    """Three broken bases: one phi coefficient perturbed, the prefactor
+    (x_1 - x_2 - z) dropped from phi_1, and phi_1, phi_2 swapping their
+    x_1 coefficients."""
+    ell = derivs[0].ell
+    n = ell + 1
+    x = [Poly.variable(n, i) for i in range(n)]
+    phi1, phi2 = derivs[1], derivs[2]
+    perturbed = list(phi1.coeff_x)
+    perturbed[0] = perturbed[0] + Fraction(1, 7) * x[-1] ** (2 * ell - 2)
+    prefactor = x[0] - x[1] - x[-1]
+    dropped = [exact_div(c, prefactor) for c in phi1.coeff_x]
+    swapped1 = (phi2.coeff_x[0],) + phi1.coeff_x[1:]
+    swapped2 = (phi1.coeff_x[0],) + phi2.coeff_x[1:]
+    return {
+        "perturbed": _with_phi(derivs, 1, perturbed),
+        "prefactor dropped": _with_phi(derivs, 1, dropped),
+        "swapped": _with_phi(_with_phi(derivs, 1, swapped1), 2, swapped2),
+    }
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_membership_matches_apply_then_divide(cached_basis, ell):
+    # the integer membership check answers as divides(alpha, theta(alpha))
+    arr = shi_d_cone(ell)
+    derivs = cached_basis(ell)
+    cases = {"basis": derivs, **_membership_mutants(derivs)}
+    for label, ds in cases.items():
+        verdicts = []
+        for d in ds:
+            got = check_membership(d, arr)
+            expected = {f.text(): divides(f.poly(), apply(d, f.poly())) for f in arr.forms}
+            assert got == expected, (label, d.name)
+            verdicts.extend(got.values())
+        if label == "basis":
+            assert all(verdicts)
+        else:
+            assert not all(verdicts), label
 
 
 def test_coefficient_matrix_layout(cached_basis):
@@ -156,6 +204,28 @@ def test_saito_verify_certify_agrees(ell):
     assert certify.det_constant == expand.det_constant
     assert certify.det_initial == expand.det_initial
     assert certify.full_det_consistent
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_certify_det_initial_from_forms(cached_basis, ell):
+    # in(det) is the sum of the forms' initial monomials: each normalized
+    # form's initial variable is its first nonzero coefficient
+    expected = [0] * (ell + 1)
+    for form in shi_d_cone(ell).forms[1:]:
+        expected[next(i for i, c in enumerate(form.coeffs) if c)] += 1
+    report = saito_verify(ell, method="certify", derivs=cached_basis(ell))
+    assert report.det_initial == tuple(expected)
+    assert report.det_leading_coefficient == report.det_constant
+
+
+def test_certify_det_initial_none_on_wrong_constant(cached_basis):
+    # 2 * phi_1 still passes membership, but the constant doubles
+    derivs = cached_basis(3)
+    doubled = _with_phi(derivs, 1, [2 * c for c in derivs[1].coeff_x])
+    report = saito_verify(3, method="certify", derivs=doubled)
+    assert report.membership_ok and not report.det_matches_corollary
+    assert report.det_initial is None
+    assert report.det_leading_coefficient is None
 
 
 def test_det_phi_property(cached_basis):
