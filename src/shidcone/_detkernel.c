@@ -8,6 +8,15 @@
  * keys and checks coefficient bit bounds before every call, so nothing here
  * wraps.
  *
+ * A key lives at the slot given by the low bits of fmix64(key) (the
+ * MurmurHash3 finalizer), found by linear probing.  Packed keys differ in a
+ * few exponent fields, so the hash must mix all 64 bits non-linearly.  The
+ * low bits of key * phi depend only on the low fields and crowd the keys
+ * onto a tenth of the home slots; a nearly additive hash (h(a + b) close to
+ * h(a) + h(b), as the top bits of key * phi are) makes sdc_fma, which inserts
+ * ka + kb while walking a in slot order, fill the accumulator in nearly
+ * sorted slot order and build one long probe run.
+ *
  * The ABI is flat so that ctypes can call it: tables are opaque pointers,
  * keys are int64, and a 128-bit value crosses as a pair of 64-bit words
  * (lo unsigned, hi signed: value = hi * 2^64 + lo).  Functions returning
@@ -46,10 +55,19 @@ static int tab_init(sdc_tab *t, int64_t cap_hint) {
     return 0;
 }
 
+/* MurmurHash3's fmix64: every key bit reaches every bit of the result. */
+static uint64_t mix64(uint64_t h) {
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+}
+
 static int64_t tab_slot(const sdc_tab *t, int64_t key) {
-    uint64_t h = (uint64_t)key * 11400714819323198485ULL;
     int64_t mask = t->cap - 1;
-    int64_t i = (int64_t)(h >> 8) & mask;
+    int64_t i = (int64_t)mix64((uint64_t)key) & mask;
     while (t->keys[i] != -1 && t->keys[i] != key)
         i = (i + 1) & mask;
     return i;

@@ -2,7 +2,8 @@
 
 Subcommands: basis, bernoulli, verify, det, lemmas, oracle dims,
 oracle charpoly.  Exit status: 0 when the requested checks pass, 1 when a
-verification fails, 2 on usage errors.
+verification fails, 2 on usage errors, 3 on an internal error (any other
+exception, reported on stderr as ``internal error: <type>: <message>``).
 
 JSON output is canonical: stable field order, big integers rendered as
 decimal strings, monomials as exponent arrays; byte-identical across runs
@@ -31,6 +32,7 @@ from .verify import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+INTERNAL_ERROR = 3
 
 
 @dataclass
@@ -249,6 +251,9 @@ def run(config: RunConfig) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:

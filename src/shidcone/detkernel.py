@@ -13,6 +13,16 @@ Two interchangeable implementations provide the same small API:
                    file ``_detkernel.c``, called through ctypes; requires
                    nvars <= 7 (keys < 2^56).
 
+The C table puts a key at the low bits of MurmurHash3's ``fmix64`` of the
+whole key and probes linearly.  Packed keys differ mostly in a few fields,
+so a hash that reads only some of their bits piles them onto few slots: the
+low bits of ``key * phi`` see only the low fields (the 233,858 keys of the
+rank-5 reduced determinant took 20,915 home slots of 2^19, against about
+188,700 for a random hash), and a nearly additive hash, h(a + b) close to
+h(a) + h(b) as for the top bits of ``key * phi``, sends the sums ``ka + kb``
+that ``fma`` inserts in slot order of ``a`` into nearly sorted slots, one
+long probe run.
+
 The C file is compiled with the system C compiler on first import, into
 ``$XDG_CACHE_HOME/shidcone`` (default ``~/.cache/shidcone``) under a name
 keyed by a checksum of the source and the flags, and loaded from there
@@ -270,6 +280,10 @@ class IntPoly:
     def __del__(self):
         if self._t:
             _lib.sdc_free(self._t)
+
+    def __reduce__(self):
+        # copies and pickles get their own table, never a shared pointer
+        return IntPoly.from_dict, (self.to_dict(),)
 
     @staticmethod
     def from_dict(d: dict) -> "IntPoly":

@@ -116,8 +116,7 @@ class VerificationReport:
         kind = self._det_data[0]
         impl = get_impl()
         if kind == "expand":
-            _, reduced, den, factor_polys, nvars = self._det_data
-            acc = impl.from_dict(reduced)
+            _, acc, den, factor_polys, nvars = self._det_data
             for f in factor_polys:
                 d, fden = poly_to_int_dict(f)
                 assert fden == 1
@@ -411,7 +410,8 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
     # DP prunes the zero minors; with that row order the result equals
     # exactly z * det (the row rotation sign cancels the cofactor sign).
     euler = derivs[0]
-    z_first_rows = [[Poly.variable(nvars, nvars - 1)] + [Poly.zero(nvars)] * ell]
+    z = Poly.variable(nvars, nvars - 1)
+    z_first_rows = [[z] + [Poly.zero(nvars)] * ell]
     for i in range(ell):
         z_first_rows.append([euler.coeff_x[i]] + [phis[j].coeff_x[i] for j in range(ell)])
     full_rows = []
@@ -433,7 +433,11 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
     z_times_reduced = impl.from_dict({})
     zkey = 1 << (8 * 0)
     z_times_reduced.fma(reduced, impl.from_dict({zkey: 1}), 1)
-    full_ok = full_det.equal_scaled(1, z_times_reduced, 1)
+    # The DP above takes the z row to be (z, 0, ..., 0) and never reads the
+    # Euler column past it, so that row is checked here: without this, a
+    # basis with theta_E(z) != z or some phi_j(z) != 0 would pass.
+    z_row_ok = euler.coeff_z == z and all(phi.coeff_z.is_zero() for phi in phis)
+    full_ok = z_row_ok and full_det.equal_scaled(1, z_times_reduced, 1)
 
     det_initial = None
     det_lc = None
@@ -454,7 +458,7 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
         "det_constant": Fraction(1, dd) if matches else None,
         "det_initial": det_initial,
         "det_leading_coefficient": det_lc,
-        "det_data": ("expand", reduced.to_dict(), scale_prod, factors, nvars),
+        "det_data": ("expand", reduced, scale_prod, factors, nvars),
     }
 
 
@@ -483,13 +487,18 @@ def _exact_matrix_det(m: list[list[Fraction]]) -> Fraction:
 
 
 def _det_certify(
-    ell: int, derivs: Sequence[Derivation], arr: Arrangement, membership_ok: bool
+    ell: int,
+    derivs: Sequence[Derivation],
+    arr: Arrangement,
+    membership_ok: bool,
+    degrees_ok: bool,
 ) -> dict:
     """Exact determinant identity check without expansion (see module doc).
 
-    Premises verified here: memberships (passed in), pairwise distinct
-    normalized forms, column-homogeneous degrees, the Euler column and the
-    z row structure, and nonvanishing of Q at the chosen point.
+    Premises: memberships and column-homogeneous degrees with the Euler
+    column and z row structure (both passed in), and, verified here,
+    pairwise distinct normalized forms and nonvanishing of Q at the chosen
+    point.
     """
     nvars = ell + 1
     euler, phis = derivs[0], derivs[1:]
@@ -501,12 +510,9 @@ def _det_certify(
         "det_leading_coefficient": None,
         "det_data": None,
     }
-    if not membership_ok:
+    if not (membership_ok and degrees_ok):
         return fail
-    # premises: distinct forms, structural shape, homogeneous column degrees
     if len({f.coeffs for f in arr.forms}) != len(arr.forms):
-        return fail
-    if not _check_degrees(ell, derivs):
         return fail
     # evaluation point: x_i = 2 * 3^(i+1) (pairwise distinct, even), z = 1
     # (odd), so no form x_s +- x_t or x_s +- x_t - z or z vanishes.
@@ -609,7 +615,7 @@ def saito_verify(
     if method == "expand":
         det = _det_expand(ell, derivs, get_impl())
     else:
-        det = _det_certify(ell, derivs, arr, membership_ok)
+        det = _det_certify(ell, derivs, arr, membership_ok, degrees_ok)
     timing["determinant"] = time.perf_counter() - t
     timing["total"] = time.perf_counter() - t0
 

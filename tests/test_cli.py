@@ -40,6 +40,20 @@ def test_verify_check_failure_exit_code(capsys, monkeypatch):
     assert status == 1
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a crash is neither a failed check (1) nor a usage error (2)
+    import shidcone.cli as cli_mod
+
+    def crash(ell, method="auto"):
+        raise OverflowError("boom")
+
+    monkeypatch.setattr(cli_mod, "saito_verify", crash)
+    status, out, err = invoke(capsys, "verify", "--ell", "2")
+    assert status == 3
+    assert out == ""
+    assert err == "internal error: OverflowError: boom\n"
+
+
 def test_bernoulli_golden(capsys):
     status, out, _ = invoke(capsys, "bernoulli", "--p", "3", "--q", "0")
     assert status == 0

@@ -1,14 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shidcone import detkernel
 from shidcone.detkernel import (
     HAS_FAST_KERNEL,
+    PACK_MASK,
     DictPoly,
     det_minor_expansion,
     get_impl,
     int_dict_to_poly,
+    int_product,
     poly_to_int_dict,
     repack_key,
     unpack_key,
@@ -150,6 +155,66 @@ def test_minor_expansion_exponent_carry_raises(fast):
         minor_expansion_det([[z**200, zero], [zero, z**100]], fast=fast)
     # the guard is per variable: x1^200 * z^100 fits
     assert minor_expansion_det([[x1**200, zero], [zero, z**100]], fast=fast) == x1**200 * z**100
+
+
+@st.composite
+def _near_limit_matrices(draw):
+    """n x n matrices (n <= 3) over 2 or 3 variables whose exponents cluster
+    around PACK_MASK / n, so that the per-variable sum over rows of each
+    row's largest exponent falls on both sides of the 8-bit limit."""
+    n = draw(st.integers(1, 3))
+    nvars = draw(st.integers(2, 3))
+    centre = PACK_MASK // n
+    exponent = st.integers(centre - 6, centre + 6) | st.integers(0, 2)
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(*[exponent] * nvars), coeff, max_size=2)
+    return [[Poly.from_terms(nvars, draw(terms)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_near_limit_matrices())
+def test_minor_expansion_near_the_field_limit(matrix):
+    from shidcone.verify import bareiss_det, minor_expansion_det
+
+    nvars = matrix[0][0].nvars
+    need = max(
+        sum(max((mono[v] for e in row for mono, _ in e.terms()), default=0) for row in matrix)
+        for v in range(nvars)
+    )
+    fasts = [False, True] if HAS_FAST_KERNEL else [False]
+    if need > PACK_MASK:
+        for fast in fasts:
+            with pytest.raises(ExponentOverflowError):
+                minor_expansion_det(matrix, fast=fast)
+    else:
+        expected = bareiss_det(matrix)
+        for fast in fasts:
+            assert minor_expansion_det(matrix, fast=fast) == expected
+
+
+@_COMPILED
+def test_backends_agree_on_a_product_chain():
+    # the rank-4 reduced right-hand product, then times z (key 1): the
+    # tables grow under load and terms cancel on the way
+    from shidcone.verify import _reduced_rhs_factors
+
+    factors = _reduced_rhs_factors(4) + [{1: 1}]
+    slow = int_product(factors, DictPoly).to_dict()
+    fast = int_product(factors, get_impl(fast=True)).to_dict()
+    assert len(slow) > 1000
+    assert fast == slow
+
+
+@_COMPILED
+def test_backends_agree_on_the_rank4_minor_expansion(cached_basis):
+    from shidcone.verify import _column_reduced_int_matrix
+
+    dets = []
+    for impl in (DictPoly, get_impl(fast=True)):
+        rows, _, _ = _column_reduced_int_matrix(4, cached_basis(4)[1:], impl)
+        dets.append(det_minor_expansion(rows, impl).to_dict())
+    assert len(dets[0]) > 1000
+    assert dets[1] == dets[0]
 
 
 @pytest.mark.skipif(not HAS_FAST_KERNEL, reason="compiled kernel only")

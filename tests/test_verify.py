@@ -228,6 +228,40 @@ def test_certify_det_initial_none_on_wrong_constant(cached_basis):
     assert report.det_leading_coefficient is None
 
 
+def _z_row_mutants(derivs):
+    """Two broken bases that differ only in the z row: phi_1(z) = z^(2l-2)
+    and theta_E(z) = 2z."""
+    ell = derivs[0].ell
+    z = Poly.variable(ell + 1, ell)
+    euler, phi1 = derivs[0], derivs[1]
+    phi1_z = list(derivs)
+    phi1_z[1] = Derivation(ell, phi1.name, phi1.coeff_x, z ** (2 * ell - 2))
+    euler_z = list(derivs)
+    euler_z[0] = Derivation(ell, euler.name, euler.coeff_x, 2 * z)
+    return {"phi_1(z) = z^(2l-2)": phi1_z, "theta_E(z) = 2z": euler_z}
+
+
+@pytest.mark.parametrize("method", ["expand", "certify"])
+@pytest.mark.parametrize("mutant", ["phi_1(z) = z^(2l-2)", "theta_E(z) = 2z"])
+def test_full_det_rejects_wrong_z_row(cached_basis, method, mutant):
+    derivs = _z_row_mutants(cached_basis(3))[mutant]
+    report = saito_verify(3, method=method, derivs=derivs)
+    assert not report.full_det_consistent
+    assert not report.saito_ok
+
+
+def test_report_copy_keeps_its_determinant():
+    # under expand the report holds a kernel polynomial; a copy must not
+    # share (and later free) its table
+    import copy
+
+    report = saito_verify(3, method="expand")
+    clone = copy.deepcopy(report)
+    expected = report.det_phi
+    del report
+    assert clone.det_phi == expected
+
+
 def test_det_phi_property(cached_basis):
     report = saito_verify(2)
     n = 3
