@@ -3,10 +3,9 @@
  * A polynomial is an open-addressing hash table mapping a packed monomial
  * key (int64, at most 56 bits used) to a 128-bit signed coefficient.  The
  * operations are the ones the determinant verification is hot on: fused
- * multiply-accumulate, scaled addition and scaled comparison.  All
- * arithmetic is exact; the Python wrapper (detkernel.IntPoly) validates
- * keys and checks coefficient bit bounds before every call, so nothing here
- * wraps.
+ * multiply-accumulate and scaled comparison.  All arithmetic is exact; the
+ * Python wrapper (detkernel.IntPoly) validates keys and checks coefficient
+ * bit bounds before every call, so nothing here wraps.
  *
  * A key lives at the slot given by the low bits of fmix64(key) (the
  * MurmurHash3 finalizer), found by linear probing.  Packed keys differ in a
@@ -201,17 +200,6 @@ int sdc_fma(sdc_tab *acc, const sdc_tab *a, const sdc_tab *b, int sign) {
     }
     free(bk); free(bv);
     return rc;
-}
-
-/* acc += c * a, with c = hi * 2^64 + lo; acc must not be a. */
-int sdc_add_scaled(sdc_tab *acc, const sdc_tab *a, uint64_t lo, int64_t hi) {
-    acc_t c = join(lo, hi);
-    int64_t i;
-    for (i = 0; i < a->cap; i++) {
-        if (a->keys[i] == -1 || a->vals[i] == 0) continue;
-        if (tab_add(acc, a->keys[i], a->vals[i] * c)) return -1;
-    }
-    return 0;
 }
 
 /* 1 iff ca * a == cb * b termwise, else 0. */

@@ -1,12 +1,25 @@
 """Integer polynomial kernel used by the determinant verification.
 
 The determinant of the basis matrix is a huge polynomial (200k terms at
-rank 5), so the verify module clears denominators per matrix column and runs
-the expansion over integer-coefficient polynomials with monomials packed
-into single integers (8 bits per exponent, most significant field = x1, so
-integer comparison is pure-lex comparison).
+rank 5), so it is expanded over integer-coefficient polynomials with
+monomials packed into single integers (8 bits per exponent, most
+significant field = x1, so integer comparison is pure-lex comparison).
+This module is the only one that knows that layout; it owns the way from
+``Poly`` to kernel polynomials and back:
 
-Two interchangeable implementations provide the same small API:
+  * ``poly_to_int_dict`` / ``int_dict_to_poly``: a ``Poly`` to integer
+    terms and a denominator, and back (``repack_key`` / ``unpack_key`` for
+    single monomials);
+  * ``clear_columns``: the columns of a ``Poly`` matrix to kernel rows, each
+    column under its own denominator, and the product of the denominators;
+  * ``det_minor_expansion``: the determinant of kernel rows;
+  * ``int_product``: the product of a chain of factors, the only product
+    loop.
+
+The last two raise ExponentOverflowError where a packed exponent could
+carry into the next field.  Two interchangeable implementations provide the
+kernel polynomial (``IntPolyLike``: ``from_dict``, ``to_dict``, ``nnz``,
+``is_zero``, ``fma``, ``equal_scaled``, ``max_key``, ``get``):
 
   * ``DictPoly`` — pure Python, dict[int, int]; works for any rank.
   * ``IntPoly``  — open-addressing hash with 128-bit accumulators in the C
@@ -45,10 +58,9 @@ import warnings
 from ctypes import POINTER, c_int, c_int64, c_uint64, c_void_p
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Protocol, Sequence
 
-from .exactpoly import FIELD_BITS, FIELD_MASK, ExponentOverflowError, Poly
+from .exactpoly import FIELD_BITS, FIELD_MASK, ExponentOverflowError, Poly, clear_denominators
 
 PACK_BITS = 8
 PACK_MASK = (1 << PACK_BITS) - 1
@@ -61,9 +73,7 @@ class IntPolyLike(Protocol):
     def to_dict(self) -> dict: ...
     def nnz(self) -> int: ...
     def is_zero(self) -> bool: ...
-    def copy(self) -> "IntPolyLike": ...
     def fma(self, a, b, sign: int) -> None: ...
-    def add_scaled(self, a, c: int) -> None: ...
     def equal_scaled(self, ca: int, other, cb: int) -> bool: ...
     def max_key(self) -> int | None: ...
     def get(self, key: int) -> int: ...
@@ -90,12 +100,6 @@ class DictPoly:
     def is_zero(self) -> bool:
         return not any(self.d.values())
 
-    def copy(self) -> "DictPoly":
-        return DictPoly(self.to_dict())
-
-    def max_bits(self) -> int:
-        return max((abs(v).bit_length() for v in self.d.values()), default=0)
-
     def fma(self, a: "DictPoly", b: "DictPoly", sign: int) -> None:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -119,19 +123,6 @@ class DictPoly:
                         out[k] = cur
                     else:
                         del out[k]
-
-    def add_scaled(self, a: "DictPoly", c: int) -> None:
-        if a is self:
-            raise ValueError("add_scaled operand must not alias the accumulator")
-        if not c:
-            return
-        out = self.d
-        for k, v in a.d.items():
-            cur = out.get(k, 0) + v * c
-            if cur:
-                out[k] = cur
-            else:
-                out.pop(k, None)
 
     def equal_scaled(self, ca: int, other: "DictPoly", cb: int) -> bool:
         a = self.to_dict()
@@ -170,7 +161,6 @@ _SIGNATURES = {
     "sdc_dump": (None, [c_void_p, _P64, POINTER(c_uint64), _P64]),
     "sdc_maxbits": (c_int, [c_void_p]),
     "sdc_fma": (c_int, [c_void_p, c_void_p, c_void_p, c_int]),
-    "sdc_add_scaled": (c_int, [c_void_p, c_void_p, c_uint64, c_int64]),
     "sdc_equal_scaled": (c_int, [c_void_p, c_void_p, c_int64, c_int64]),
     "sdc_max_key": (c_int64, [c_void_p]),
     "sdc_get": (None, [c_void_p, c_int64, _P64]),
@@ -314,12 +304,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return _lib.sdc_nnz(self._t) == 0
 
-    def copy(self) -> "IntPoly":
-        p = IntPoly(self.nnz() + 1)
-        if _lib.sdc_add_scaled(p._t, self._t, 1, 0):
-            raise MemoryError("IntPoly growth failed")
-        return p
-
     def fma(self, a: "IntPoly", b: "IntPoly", sign: int) -> None:
         """self += sign * a * b   (sign must be +1 or -1)."""
         if sign != 1 and sign != -1:
@@ -331,18 +315,6 @@ class IntPoly:
         if bits + 34 > 126 or _lib.sdc_maxbits(self._t) > 124:
             raise OverflowError("fma would risk exceeding the 128-bit range")
         if _lib.sdc_fma(self._t, a._t, b._t, sign):
-            raise MemoryError("IntPoly growth failed")
-
-    def add_scaled(self, a: "IntPoly", c: int) -> None:
-        """self += c * a   for a Python integer c."""
-        if a is self:
-            raise ValueError("add_scaled operand must not alias the accumulator")
-        if not c:
-            return
-        _check_value(c)
-        if _lib.sdc_maxbits(a._t) + c.bit_length() + 2 > 126:
-            raise OverflowError("add_scaled would risk exceeding the 128-bit range")
-        if _lib.sdc_add_scaled(self._t, a._t, c & _MASK64, c >> 64):
             raise MemoryError("IntPoly growth failed")
 
     def equal_scaled(self, ca: int, other: "IntPoly", cb: int) -> bool:
@@ -410,17 +382,32 @@ def unpack_key(key8: int, nvars: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
+def _repack_terms(terms: dict[int, int], nvars: int) -> dict[int, int]:
+    if nvars > MAX_KERNEL_VARS:
+        raise ValueError(f"kernel supports at most {MAX_KERNEL_VARS} variables")
+    return {repack_key(k, nvars): v for k, v in terms.items()}
+
+
 def poly_to_int_dict(f: Poly) -> tuple[dict[int, int], int]:
     """Clear denominators: returns (integer term dict, den) with f = terms/den."""
-    if f.nvars > MAX_KERNEL_VARS:
-        raise ValueError(f"kernel supports at most {MAX_KERNEL_VARS} variables")
-    den = 1
-    for c in f._terms.values():
-        den = lcm(den, c.denominator)
-    out = {}
-    for k, c in f._terms.items():
-        out[repack_key(k, f.nvars)] = int(c * den)
-    return out, den
+    (terms,), den = clear_denominators([f])
+    return _repack_terms(terms, f.nvars), den
+
+
+def clear_columns(columns: Sequence[Sequence[Poly]], impl) -> tuple[list[list], int]:
+    """Kernel rows of the matrix with the given ``Poly`` columns, and the
+    product of the column denominators.
+
+    Each column is cleared to integers under its own common denominator, so
+    the determinant of the returned rows is that product times the
+    determinant of the ``Poly`` matrix.
+    """
+    cols, den = [], 1
+    for column in columns:
+        terms, d = clear_denominators(column)
+        cols.append([impl.from_dict(_repack_terms(t, f.nvars)) for t, f in zip(terms, column)])
+        den *= d
+    return [list(row) for row in zip(*cols)], den
 
 
 def int_dict_to_poly(d: dict[int, int], den: int, nvars: int) -> Poly:
@@ -492,11 +479,18 @@ def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> IntPolyL
     return minors[tuple(range(n))]
 
 
-def int_product(factors: Sequence[dict[int, int]], impl) -> IntPolyLike:
-    """Product of integer term dicts (empty product = 1)."""
-    acc = impl.from_dict({0: 1})
-    for f in factors:
+def int_product(factors: Sequence[dict[int, int] | IntPolyLike], impl) -> IntPolyLike:
+    """Product of integer term dicts or kernel polynomials of ``impl``
+    (empty product = 1); a single factor is returned as it is.
+
+    Raises ExponentOverflowError unless the product fits the 8-bit fields
+    (each factor is checked as a one-entry row of a minor).
+    """
+    polys = [impl.from_dict(f) if isinstance(f, dict) else f for f in factors]
+    _check_exponent_room([[p] for p in polys])
+    acc, *rest = polys or [impl.from_dict({0: 1})]
+    for p in rest:
         nxt = impl.from_dict({})
-        nxt.fma(acc, impl.from_dict(f), 1)
+        nxt.fma(acc, p, 1)
         acc = nxt
     return acc

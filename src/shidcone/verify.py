@@ -61,10 +61,13 @@ from typing import Sequence
 
 from .arrangement import Arrangement, shi_d_cone
 from .detkernel import (
+    clear_columns,
     det_minor_expansion,
     get_impl,
     int_dict_to_poly,
+    int_product,
     poly_to_int_dict,
+    unpack_key,
 )
 from .exactpoly import Poly, clear_denominators, divides, divides_integer_terms, exact_div
 from .shi_basis import Derivation, basis
@@ -100,6 +103,8 @@ class VerificationReport:
     full_det_consistent: bool
     saito_ok: bool
     timing: dict[str, float] = field(default_factory=dict)
+    # (head, den, factors, nvars): det_phi = head * prod(factors) / den,
+    # head a kernel polynomial and factors Polys
     _det_data: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -108,32 +113,20 @@ class VerificationReport:
 
         Materialized lazily: at large rank this polynomial is enormous
         (11.8 million terms at l = 6), so it is reconstructed only on
-        access.  Under the ``certify`` method the reconstruction multiplies
-        out the certified right-hand side.
+        access, as one product chain: under ``expand`` the reduced
+        determinant times the factored-out column forms, under ``certify``
+        the certified constant times the forms.
         """
         if self._det_data is None:
             raise ValueError("determinant data unavailable (verification failed early)")
-        kind = self._det_data[0]
-        impl = get_impl()
-        if kind == "expand":
-            _, acc, den, factor_polys, nvars = self._det_data
-            for f in factor_polys:
-                d, fden = poly_to_int_dict(f)
-                assert fden == 1
-                nxt = impl.from_dict({})
-                nxt.fma(acc, impl.from_dict(d), 1)
-                acc = nxt
-            return int_dict_to_poly(acc.to_dict(), den, nvars)
-        # certified: det equals det_constant * prod(non-z forms), exactly
-        _, constant, forms, nvars = self._det_data
-        acc = impl.from_dict({0: 1})
-        for f in forms:
-            d, fden = poly_to_int_dict(f)
-            assert fden == 1
-            nxt = impl.from_dict({})
-            nxt.fma(acc, impl.from_dict(d), 1)
-            acc = nxt
-        return int_dict_to_poly(acc.to_dict(), 1, nvars) * constant
+        head, den, factors, nvars = self._det_data
+        chain = [head]
+        for f in factors:
+            terms, fden = poly_to_int_dict(f)
+            chain.append(terms)
+            den *= fden
+        det = int_product(chain, type(head))
+        return int_dict_to_poly(det.to_dict(), den, nvars)
 
     def summary_dict(self, include_timing: bool = False) -> dict:
         """JSON-ready summary with stable field order."""
@@ -186,11 +179,11 @@ def bareiss_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
     nvars = matrix[0][0].nvars
     m = [list(row) for row in matrix]
     for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
         for e in row:
             if e.nvars != nvars:
                 raise ValueError("entries live in different rings")
@@ -217,36 +210,18 @@ def bareiss_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
 def minor_expansion_det(matrix: Sequence[Sequence[Poly]], fast: bool | None = None) -> Poly:
     """Determinant via subset-minor dynamic programming on the integer kernel.
 
-    Row denominators are cleared per column and divided back out at the end.
+    Denominators are cleared per column and divided back out at the end.
     Agrees with bareiss_det everywhere (cross-checked in the test suite).
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    nvars = matrix[0][0].nvars
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
     impl = get_impl(fast)
-    cols_int, scales = [], []
-    for j in range(n):
-        col = [matrix[i][j] for i in range(n)]
-        if len(matrix[j]) != n:
-            raise ValueError("matrix must be square")
-        den = 1
-        for e in col:
-            _, ed = poly_to_int_dict(e)
-            den = lcm(den, ed)
-        ints = []
-        for e in col:
-            d, ed = poly_to_int_dict(e)
-            mult = den // ed
-            ints.append(impl.from_dict({k: v * mult for k, v in d.items()}))
-        cols_int.append(ints)
-        scales.append(den)
-    rows = [[cols_int[j][i] for j in range(n)] for i in range(n)]
+    rows, den = clear_columns(list(zip(*matrix)), impl)
     det = det_minor_expansion(rows, impl)
-    den = 1
-    for s in scales:
-        den *= s
-    return int_dict_to_poly(det.to_dict(), den, nvars)
+    return int_dict_to_poly(det.to_dict(), den, matrix[0][0].nvars)
 
 
 # -- membership --------------------------------------------------------------
@@ -333,75 +308,45 @@ def _check_initials(ell: int, derivs: Sequence[Derivation]) -> bool:
 
 
 def _column_reduced_int_matrix(ell: int, phis: Sequence[Derivation], impl):
-    """Factor (x_j - x_{j+1} - z) out of column j by exact division, clear
-    denominators per column.  Returns (rows, scales, factor_polys)."""
+    """Factor (x_j - x_{j+1} - z) out of column j by exact division and clear
+    denominators per column.  Returns (kernel rows, product of the column
+    denominators, factored-out forms)."""
     nvars = ell + 1
     z = Poly.variable(nvars, nvars - 1)
-    cols_int, scales, factors = [], [], []
+    cols, factors = [], []
     for j, phi in enumerate(phis, start=1):
         if j < ell:
             form = Poly.variable(nvars, j - 1) - Poly.variable(nvars, j) - z
-            col = [exact_div(c, form) if c else c for c in phi.coeff_x]
+            cols.append([exact_div(c, form) if c else c for c in phi.coeff_x])
             factors.append(form)
         else:
-            col = list(phi.coeff_x)
-        den = 1
-        for c in col:
-            _, cd = poly_to_int_dict(c)
-            den = lcm(den, cd)
-        ints = []
-        for c in col:
-            d, cd = poly_to_int_dict(c)
-            mult = den // cd
-            ints.append(impl.from_dict({k: v * mult for k, v in d.items()}))
-        cols_int.append(ints)
-        scales.append(den)
-    rows = [[cols_int[j][i] for j in range(ell)] for i in range(ell)]
-    return rows, scales, factors
+            cols.append(list(phi.coeff_x))
+    rows, den = clear_columns(cols, impl)
+    return rows, den, factors
 
 
 def _reduced_rhs_factors(ell: int) -> list[dict[int, int]]:
-    """Integer term dicts of the right-hand product with the per-column
+    """Kernel term dicts of the right-hand product with the per-column
     factors (x_j - x_{j+1} - z) removed: for every pair s < t the factor
     (x_s^2 - x_t^2), and the shifted factor ((x_s - z)^2 - x_t^2) — replaced
     by (x_s + x_t - z) when (s, t) are consecutive, since (x_s - x_t - z)
     was factored out of the matrix column."""
     nvars = ell + 1
-
-    def key(var: int, e: int = 1) -> int:
-        return e << (8 * (nvars - 1 - var))
-
-    zv = nvars - 1
-    out: list[dict[int, int]] = []
-    for s in range(ell - 1):
-        for t in range(s + 1, ell):
-            out.append({key(s, 2): 1, key(t, 2): -1})
-    for s in range(ell - 1):
-        for t in range(s + 1, ell):
-            if t == s + 1:
-                out.append({key(s): 1, key(t): 1, key(zv): -1})
-            else:
-                out.append(
-                    {key(s, 2): 1, key(s) + key(zv): -2, key(zv, 2): 1, key(t, 2): -1}
-                )
-    return out
+    x = [Poly.variable(nvars, i) for i in range(ell)]
+    z = Poly.variable(nvars, ell)
+    pairs = [(s, t) for s in range(ell - 1) for t in range(s + 1, ell)]
+    factors = [x[s] ** 2 - x[t] ** 2 for s, t in pairs]
+    factors += [x[s] + x[t] - z if t == s + 1 else (x[s] - z) ** 2 - x[t] ** 2 for s, t in pairs]
+    return [poly_to_int_dict(f)[0] for f in factors]
 
 
 def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
     nvars = ell + 1
-    phis = derivs[1:]
-    rows, scales, factors = _column_reduced_int_matrix(ell, phis, impl)
+    euler, phis = derivs[0], derivs[1:]
+    rows, scale_prod, factors = _column_reduced_int_matrix(ell, phis, impl)
     reduced = det_minor_expansion(rows, impl)
     dd = double_factorial(2 * ell - 3)
-    scale_prod = 1
-    for s in scales:
-        scale_prod *= s
-
-    rhs = impl.from_dict({0: 1})
-    for fdict in _reduced_rhs_factors(ell):
-        nxt = impl.from_dict({})
-        nxt.fma(rhs, impl.from_dict(fdict), 1)
-        rhs = nxt
+    rhs = int_product(_reduced_rhs_factors(ell), impl)
     # det[phi_j(x_i)] = reduced * prod(factors) / scale_prod must equal
     # (1/dd) * rhs * prod(factors):  cross-multiplied integer comparison.
     matches = (not reduced.is_zero()) and reduced.equal_scaled(dd, rhs, scale_prod)
@@ -409,33 +354,18 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
     # full (l+1) x (l+1) determinant, z row processed first so the subset
     # DP prunes the zero minors; with that row order the result equals
     # exactly z * det (the row rotation sign cancels the cofactor sign).
-    euler = derivs[0]
+    # The DP takes the z row to be (z, 0, ..., 0) and so never reads the
+    # Euler column past it; that column's denominator is left out.
     z = Poly.variable(nvars, nvars - 1)
-    z_first_rows = [[z] + [Poly.zero(nvars)] * ell]
-    for i in range(ell):
-        z_first_rows.append([euler.coeff_x[i]] + [phis[j].coeff_x[i] for j in range(ell)])
-    full_rows = []
-    for row in z_first_rows:
-        conv = []
-        for j, e in enumerate(row):
-            if j == 0:
-                d, cd = poly_to_int_dict(e)
-                assert cd == 1
-                conv.append(impl.from_dict(d))
-            else:
-                # reuse the reduced, denominator-cleared phi columns
-                conv.append(impl.from_dict({}))
-        full_rows.append(conv)
-    for i in range(ell):
-        for j in range(ell):
-            full_rows[i + 1][j + 1] = rows[i][j]
+    z_entry = impl.from_dict(poly_to_int_dict(z)[0])
+    euler_rows, _ = clear_columns([euler.coeff_x], impl)
+    full_rows = [[z_entry] + [impl.from_dict({}) for _ in range(ell)]]
+    full_rows += [e + row for e, row in zip(euler_rows, rows)]
     full_det = det_minor_expansion(full_rows, impl)
     z_times_reduced = impl.from_dict({})
-    zkey = 1 << (8 * 0)
-    z_times_reduced.fma(reduced, impl.from_dict({zkey: 1}), 1)
-    # The DP above takes the z row to be (z, 0, ..., 0) and never reads the
-    # Euler column past it, so that row is checked here: without this, a
-    # basis with theta_E(z) != z or some phi_j(z) != 0 would pass.
+    z_times_reduced.fma(reduced, z_entry, 1)
+    # The z row is checked here: without this, a basis with theta_E(z) != z
+    # or some phi_j(z) != 0 would pass.
     z_row_ok = euler.coeff_z == z and all(phi.coeff_z.is_zero() for phi in phis)
     full_ok = z_row_ok and full_det.equal_scaled(1, z_times_reduced, 1)
 
@@ -443,8 +373,6 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
     det_lc = None
     if not reduced.is_zero():
         mk = reduced.max_key()
-        from .detkernel import unpack_key
-
         init = list(unpack_key(mk, nvars))
         for f in factors:
             fin = f.initial_monomial()
@@ -458,7 +386,7 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
         "det_constant": Fraction(1, dd) if matches else None,
         "det_initial": det_initial,
         "det_leading_coefficient": det_lc,
-        "det_data": ("expand", reduced, scale_prod, factors, nvars),
+        "det_data": (reduced, scale_prod, factors, nvars),
     }
 
 
@@ -539,31 +467,29 @@ def _det_certify(
     full_ok = full_val == Fraction(-1) ** ell * point[-1] * det_val
     det_initial = None
     det_lc = None
+    det_data = None
     if matches:
         # det = constant * prod(forms): the initial monomial of a product is
         # the sum of its factors' initial monomials, and likewise for the
         # leading coefficient's product.
+        forms = [form.poly() for form in arr.forms[1:]]
         init = [0] * nvars
         det_lc = constant
-        for form in arr.forms[1:]:
-            fp = form.poly()
+        for fp in forms:
             init = [a + b for a, b in zip(init, fp.initial_monomial())]
             det_lc *= fp.leading_coefficient()
         det_initial = tuple(init)
+        # key 0 is the constant monomial in any layout; nothing here limits
+        # nvars, since det_phi is only built on access
+        head = get_impl().from_dict({0: constant.numerator})
+        det_data = (head, constant.denominator, forms, nvars)
     return {
         "det_matches_corollary": matches,
         "full_det_consistent": full_ok,
         "det_constant": constant if matches else None,
         "det_initial": det_initial,
         "det_leading_coefficient": det_lc,
-        "det_data": (
-            "certify",
-            constant,
-            [f.poly() for f in arr.forms[1:]],
-            nvars,
-        )
-        if matches
-        else None,
+        "det_data": det_data,
     }
 
 

@@ -78,7 +78,7 @@ def test_backends_agree_on_fma(seed):
     for impl in {DictPoly, get_impl()}:
         acc = impl.from_dict(c)
         acc.fma(impl.from_dict(a), impl.from_dict(b), -1)
-        acc.add_scaled(impl.from_dict(a), 3)
+        acc.fma(impl.from_dict(a), impl.from_dict({0: 3}), 1)
         results.append(acc.to_dict())
     assert all(r == results[0] for r in results)
 
@@ -102,7 +102,7 @@ def test_backend_max_key_and_zero():
         assert q.max_key() is None
         # cancellation to zero
         acc = impl.from_dict({3: 1})
-        acc.add_scaled(impl.from_dict({3: 1}), -1)
+        acc.fma(impl.from_dict({3: 1}), impl.from_dict({0: 1}), -1)
         assert acc.is_zero()
         assert acc.nnz() == 0
 
@@ -113,7 +113,7 @@ def test_fma_aliasing_rejected():
         with pytest.raises(ValueError):
             a.fma(a, a, 1)
         with pytest.raises(ValueError):
-            a.add_scaled(a, 2)
+            a.fma(impl.from_dict({0: 2}), a, 1)
 
 
 def test_kernel_falls_back_without_compiler(monkeypatch, tmp_path):
@@ -155,6 +155,16 @@ def test_minor_expansion_exponent_carry_raises(fast):
         minor_expansion_det([[z**200, zero], [zero, z**100]], fast=fast)
     # the guard is per variable: x1^200 * z^100 fits
     assert minor_expansion_det([[x1**200, zero], [zero, z**100]], fast=fast) == x1**200 * z**100
+
+
+@pytest.mark.parametrize("fast", [False, pytest.param(True, marks=_COMPILED)])
+def test_int_product_exponent_carry_raises(fast):
+    # z^200 * z^100 at two variables: the key sum 300 would read x1*z^44
+    impl = get_impl(fast)
+    with pytest.raises(ExponentOverflowError):
+        int_product([{200: 1}, {100: 1}], impl)
+    # per variable, as in a minor: x1^200 * z^100 fits
+    assert int_product([{200 << 8: 1}, {100: 1}], impl).to_dict() == {(200 << 8) + 100: 1}
 
 
 @st.composite

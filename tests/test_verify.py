@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from shidcone import detkernel
 from shidcone.arrangement import defining_poly, shi_d_cone
 from shidcone.exactpoly import Poly, divides, exact_div
 from shidcone.shi_basis import Derivation, apply, basis
@@ -157,6 +159,14 @@ def test_bareiss_golden_ell2(cached_basis):
     assert minor_expansion_det(m) == expected
 
 
+@pytest.mark.parametrize("det", [bareiss_det, minor_expansion_det])
+def test_determinants_reject_a_non_square_matrix(det):
+    x1, z = Poly.variable(2, 0), Poly.variable(2, 1)
+    for matrix in ([[x1, z], [z]], [[x1, z], [z, x1, z]]):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            det(matrix)
+
+
 def test_full_det_is_z_times_phi_det(cached_basis):
     for ell in (2, 3):
         derivs = cached_basis(ell)
@@ -262,6 +272,17 @@ def test_report_copy_keeps_its_determinant():
     assert clone.det_phi == expected
 
 
+@pytest.mark.parametrize("method", ["expand", "certify"])
+def test_saito_verify_on_the_pure_python_kernel(monkeypatch, method):
+    # default.det_phi is read below too, so it must stay on its own backend
+    default = saito_verify(3, method=method)
+    monkeypatch.setattr(detkernel, "HAS_FAST_KERNEL", False)
+    report = saito_verify(3, method=method)
+    assert isinstance(report._det_data[0], detkernel.DictPoly)
+    assert report.summary_dict() == default.summary_dict()
+    assert report.det_phi == default.det_phi
+
+
 def test_det_phi_property(cached_basis):
     report = saito_verify(2)
     n = 3
@@ -272,6 +293,14 @@ def test_det_phi_property(cached_basis):
     certify = saito_verify(3, method="certify")
     expand = saito_verify(3, method="expand")
     assert certify.det_phi == expand.det_phi
+
+
+def test_det_phi_folds_factor_denominators():
+    report = saito_verify(2, method="certify")
+    head, den, forms, nvars = report._det_data
+    halved = [f * Fraction(1, 2) for f in forms]
+    scaled = dataclasses.replace(report, _det_data=(head, den, halved, nvars))
+    assert scaled.det_phi == report.det_phi * Fraction(1, 2 ** len(forms))
 
 
 def test_det_equals_scaled_defining_poly(cached_basis):
