@@ -39,8 +39,12 @@ long probe run.
 The C file is compiled with the system C compiler on first import, into
 ``$XDG_CACHE_HOME/shidcone`` (default ``~/.cache/shidcone``) under a name
 keyed by a checksum of the source and the flags, and loaded from there
-afterwards.  When no compiler is found or the build or load fails, the
-module warns once and ``get_impl()`` returns ``DictPoly``.
+afterwards.  A build keeps the newest few builds in the cache and removes
+older ones, so checkouts of different versions sharing the cache do not
+rebuild on every switch; a build removed by another version between the
+check and the load is built again.  When no compiler is found or the
+build or load fails, the module warns once and ``get_impl()`` returns
+``DictPoly``.
 
 Determinants are computed by minor expansion over column subsets
 (Gentleman-Johnson dynamic programming): every intermediate is an honest
@@ -151,6 +155,8 @@ _MASK64 = (1 << 64) - 1
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_detkernel.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
 _COMPILERS = ("cc", "gcc", "clang")
+# builds kept in the cache, the newest by modification time
+_KEPT_BUILDS = 4
 
 _P64 = POINTER(c_int64)
 _SIGNATURES = {
@@ -211,15 +217,28 @@ def _build(target: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    # builds of older sources or flags are never loaded again
-    for name in os.listdir(directory):
-        if name.startswith("detkernel-") and name.endswith(".so"):
-            stale = os.path.join(directory, name)
-            if stale != target:
-                try:
-                    os.unlink(stale)
-                except OSError:
-                    pass
+    # keep the newest builds only: other checkouts or installed versions that
+    # share the cache keep theirs, and old ones do not pile up
+    others = [
+        os.path.join(directory, name)
+        for name in os.listdir(directory)
+        if name.startswith("detkernel-") and name.endswith(".so")
+        and name != os.path.basename(target)
+    ]
+    others.sort(key=_mtime, reverse=True)
+    for stale in others[_KEPT_BUILDS - 1 :]:
+        try:
+            os.unlink(stale)
+        except OSError:
+            pass
+
+
+def _mtime(path: str) -> float:
+    """Modification time of ``path``; 0 if it has vanished meanwhile."""
+    try:
+        return os.path.getmtime(path)
+    except OSError:
+        return 0.0
 
 
 def _open_kernel() -> ctypes.CDLL:
@@ -232,7 +251,14 @@ def _open_kernel() -> ctypes.CDLL:
     path = os.path.join(_cache_dir(), f"detkernel-{tag:08x}.so")
     if not os.path.exists(path):
         _build(path)
-    lib = ctypes.CDLL(path)
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        if os.path.exists(path):
+            raise
+        # evicted by another version's build after the check above
+        _build(path)
+        lib = ctypes.CDLL(path)
     for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes

@@ -11,7 +11,7 @@ from math import comb
 
 from shidcone.bernoulli import UniPoly, make_bernoulli, rhs_poly
 from shidcone.exactpoly import Poly
-from shidcone.oracle import charpoly_count, derivation_dim, expected_dim
+from shidcone.oracle import charpoly_count, derivation_dim, expected_count, expected_dim
 from shidcone.shi_basis import basis
 from shidcone.verify import double_factorial, lemma_identity_checks, saito_verify
 
@@ -176,3 +176,12 @@ def test_criterion_8_rank7_certify():
     ok = ok and rep.det_constant == Fraction(1, double_factorial(2 * ell - 3))
     ok = ok and len(memberships) == (ell + 1) * (2 * ell * (ell - 1) + 1) and all(memberships)
     _record(8, "saito_verify rank 7 (certify)", ok, time.perf_counter() - t0, 30.0)
+
+
+def test_criterion_9_rank4_oracles():
+    t0 = time.perf_counter()
+    ell, h = 4, 6
+    ok = all(derivation_dim(ell, d) == expected_dim(ell, d) for d in (0, 1, h - 1, h, h + 1))
+    for ell, q in [(4, 11), (4, 13), (5, 11), (5, 13), (6, 13)]:
+        ok = ok and charpoly_count(ell, q) == expected_count(ell, q)
+    _record(9, "oracles at rank 4, point counts at ranks 4..6", ok, time.perf_counter() - t0, 60.0)

@@ -1,3 +1,5 @@
+import ctypes
+import os
 import random
 from fractions import Fraction
 
@@ -134,11 +136,42 @@ def test_kernel_falls_back_without_compiler(monkeypatch, tmp_path):
 @pytest.mark.skipif(detkernel._find_compiler() is None, reason="no C compiler on PATH")
 def test_build_removes_stale_kernels(monkeypatch, tmp_path):
     monkeypatch.setattr(detkernel, "_cache_dir", lambda: str(tmp_path))
-    (tmp_path / "detkernel-00000000.so").write_bytes(b"stale")
+    other = tmp_path / "detkernel-00000000.so"
+    other.write_bytes(b"another source's build")
     detkernel._open_kernel()  # the current build is absent here, so it is built
-    names = [p.name for p in tmp_path.iterdir()]
-    assert len(names) == 1
-    assert names[0].startswith("detkernel-") and names[0] != "detkernel-00000000.so"
+    (current,) = {p.name for p in tmp_path.iterdir()} - {other.name}
+    assert current.startswith("detkernel-")
+    assert other.exists()  # a checkout of another version keeps its build
+    # past the bound, the oldest builds go: the new build, the other source's
+    # (modified just now) and the newest of the stale ones stay
+    kept = detkernel._KEPT_BUILDS
+    for i in range(1, 2 * kept):
+        stale = tmp_path / f"detkernel-{i:08x}.so"
+        stale.write_bytes(b"stale")
+        os.utime(stale, (i, i))
+    (tmp_path / current).unlink()
+    detkernel._open_kernel()
+    newest_stale = {f"detkernel-{i:08x}.so" for i in range(kept + 2, 2 * kept)}
+    assert {p.name for p in tmp_path.iterdir()} == {current, other.name} | newest_stale
+
+
+@pytest.mark.skipif(detkernel._find_compiler() is None, reason="no C compiler on PATH")
+def test_kernel_rebuilt_when_its_build_vanishes(monkeypatch, tmp_path):
+    monkeypatch.setattr(detkernel, "_cache_dir", lambda: str(tmp_path))
+    load = ctypes.CDLL
+    loaded = []
+
+    def evicted_first(path, *args, **kwargs):
+        if not loaded:
+            os.unlink(path)  # another version's build evicts it after the check
+        loaded.append(path)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(detkernel.ctypes, "CDLL", evicted_first)
+    lib = detkernel._open_kernel()
+    assert len(loaded) == 2 and loaded[0] == loaded[1]
+    assert os.path.exists(loaded[0])
+    assert lib.sdc_nnz.restype is ctypes.c_int64
 
 
 _COMPILED = pytest.mark.skipif(not HAS_FAST_KERNEL, reason="compiled kernel only")

@@ -1,6 +1,19 @@
-import pytest
+from fractions import Fraction
+from itertools import product
+from math import comb, gcd, lcm
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shidcone import oracle
+from shidcone.arrangement import Arrangement, LinearForm, shi_d_cone
 from shidcone.oracle import (
+    _derivation_vector,
+    _integer_coeffs,
+    _membership_rows,
+    _pivot_rows,
+    _sparse_rank,
     basis_span_rank_at_h,
     charpoly_count,
     derivation_dim,
@@ -9,6 +22,7 @@ from shidcone.oracle import (
     graded_dims,
     monomials_of_degree,
 )
+from shidcone.shi_basis import basis
 
 
 def test_monomials_of_degree():
@@ -73,3 +87,126 @@ def test_charpoly_preconditions():
         charpoly_count(2, 2)  # even
     with pytest.raises(ValueError):
         charpoly_count(5, 101)  # enumeration cap
+
+
+def _fraction_rank(rows: list[dict[int, Fraction]]) -> int:
+    """Reference rank: forward elimination over Fraction with normalized
+    pivot rows, keyed on each row's smallest column index."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = 1 / row[c]
+                pivots[c] = {k: v * inv for k, v in row.items()}
+                break
+            factor = row[c]
+            for k, v in piv.items():
+                cur = row.get(k, 0) - factor * v
+                if cur:
+                    row[k] = cur
+                else:
+                    row.pop(k, None)
+    return len(pivots)
+
+
+@st.composite
+def _sparse_rational_rows(draw):
+    """Up to 8 sparse rows over 8 columns with rational entries.  Some rows
+    are multiplied by a large content, and entries such as 2, 3 and 6 make
+    pivots that are not units; a few rows are combinations of earlier ones,
+    so that elimination has dependent rows to cancel."""
+    ncols = 8
+    entry = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if rows and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, b = draw(entry), draw(entry)
+            row = {c: a * rows[i].get(c, 0) + b * rows[j].get(c, 0) for c in rows[i].keys() | rows[j].keys()}
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1), max_size=4))
+            row = {c: draw(entry) for c in cols}
+        if draw(st.booleans()):
+            content = draw(st.sampled_from([2**61 - 1, 10**30, 6**40]))
+            row = {c: content * v for c, v in row.items()}
+        rows.append(row)
+    return rows
+
+
+def _cleared(row: dict[int, Fraction]) -> dict[int, int]:
+    return dict(zip(row, _integer_coeffs(list(row.values()))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_rational_rows())
+def test_integer_rank_matches_fraction_elimination(rows):
+    cleared = [_cleared(r) for r in rows]
+    assert _sparse_rank(cleared) == _fraction_rank(rows)
+    for c, row in _pivot_rows(cleared).items():
+        assert min(row) == c and all(row.values())
+        assert gcd(*row.values()) == 1  # content divided out
+
+
+def test_integer_coeffs_scale_instead_of_truncating():
+    assert _integer_coeffs([Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5)]) == [3, -4, 0, 30]
+    assert _integer_coeffs([Fraction(4), Fraction(-6)]) == [4, -6]
+
+
+def test_derivation_vectors_scale_fractional_coefficients():
+    ell, h = 3, 4
+    monos = list(monomials_of_degree(ell + 1, h))
+    index = {m: i for i, m in enumerate(monos)}
+    for phi in basis(ell)[1:]:
+        vec = _derivation_vector(phi, (0,) * (ell + 1), index, len(monos))
+        coeffs = {
+            v * len(monos) + index[m]: c
+            for v, poly in enumerate(phi.coefficients())
+            for m, c in poly.terms()
+        }
+        assert any(c.denominator > 1 for c in coeffs.values())
+        assert vec.keys() == coeffs.keys()
+        assert len({vec[u] / c for u, c in coeffs.items()}) == 1  # one common scale
+
+
+def test_membership_rows_scale_fractional_forms(monkeypatch):
+    # two planes through the z axis, 2*x1 = x2 and x1 = x2, one of them
+    # written with a fraction: a free arrangement with exponents (0, 1, 1)
+    forms = (
+        LinearForm((Fraction(1), Fraction(-1, 2), Fraction(0))),
+        LinearForm((Fraction(1), Fraction(-1), Fraction(0))),
+    )
+    monkeypatch.setattr(oracle, "shi_d_cone", lambda ell: Arrangement(ell, forms, 2))
+    for d in range(4):
+        assert derivation_dim(2, d) == comb(d + 2, 2) + 2 * comb(d + 1, 2)
+    # every equation holds for the Euler field, whose coefficient in slot v
+    # is x_v: unknown (v, x_v) is v * 3 + v in degree 1
+    _, rows = _membership_rows(2, 1)
+    for row in rows:
+        assert sum(row.get(4 * v, 0) for v in range(3)) == 0
+
+
+def _full_count(ell: int, q: int) -> int:
+    """Points of F_q^(l+1), over every z and x, on none of the hyperplanes."""
+    forms = []
+    for form in shi_d_cone(ell).forms:
+        den = lcm(*(c.denominator for c in form.coeffs))
+        forms.append([c.numerator * (den // c.denominator) for c in form.coeffs])
+    return sum(
+        all(sum(a * x for a, x in zip(form, point)) % q for form in forms)
+        for point in product(range(q), repeat=ell + 1)
+    )
+
+
+@pytest.mark.parametrize("ell,q", [(2, 5), (2, 7), (3, 7)])
+def test_sliced_count_matches_full_enumeration(ell, q):
+    assert charpoly_count(ell, q) == _full_count(ell, q) == expected_count(ell, q)
+
+
+def test_charpoly_cap_applies_to_the_slice():
+    # 223^2 points on the slice z = 1 fit the 10^7 cap, although 223^3 would not
+    assert charpoly_count(2, 223) == expected_count(2, 223)
+    with pytest.raises(ValueError, match="cap"):
+        charpoly_count(2, 3163)  # 3163^2 > 10^7
