@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bernoulli import make_bernoulli
-from .exactpoly import Poly
+from .exactpoly import default_names
 from .oracle import charpoly_count, expected_count, graded_dims
-from .shi_basis import basis, derivation_to_dict
+from .shi_basis import basis, derivation_to_dict, poly_terms_json
 from .verify import (
     bareiss_det,
     lemma_identity_checks,
@@ -54,14 +54,6 @@ class RunConfig:
     include_timing: bool = False
 
 
-def poly_terms_json(poly: Poly) -> list:
-    """[[exponent array, "num", "den"], ...] in descending pure-lex order."""
-    return [
-        [list(mono), str(c.numerator), str(c.denominator)]
-        for mono, c in poly.terms()
-    ]
-
-
 def emit_json(obj) -> str:
     """Canonical JSON serialization (stable order, trailing newline)."""
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
@@ -84,10 +76,9 @@ def _run_basis(config: RunConfig) -> int:
         _write(config, emit_json([derivation_to_dict(d) for d in derivs]))
         return 0
     lines = []
-    names = [f"x{i + 1}" for i in range(config.ell)] + ["z"]
     for d in derivs:
         lines.append(f"{d.name}:")
-        for var, coeff in zip(names, d.coefficients()):
+        for var, coeff in zip(default_names(d.nvars), d.coefficients()):
             lines.append(f"  d/d{var}: {coeff.render()}")
     _write(config, "\n".join(lines) + "\n")
     return 0

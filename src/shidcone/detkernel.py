@@ -84,7 +84,11 @@ class IntPolyLike(Protocol):
 
 
 class DictPoly:
-    """Pure-Python reference implementation of the kernel polynomial."""
+    """Pure-Python reference implementation of the kernel polynomial.
+
+    Stores no zero coefficient: ``from_dict`` drops zeros and ``fma``
+    deletes every sum that cancels, so the dict itself is the term map.
+    """
 
     __slots__ = ("d",)
 
@@ -96,13 +100,13 @@ class DictPoly:
         return DictPoly({k: v for k, v in d.items() if v})
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in self.d.items() if v}
+        return dict(self.d)
 
     def nnz(self) -> int:
-        return sum(1 for v in self.d.values() if v)
+        return len(self.d)
 
     def is_zero(self) -> bool:
-        return not any(self.d.values())
+        return not self.d
 
     def fma(self, a: "DictPoly", b: "DictPoly", sign: int) -> None:
         if sign not in (1, -1):
@@ -112,8 +116,6 @@ class DictPoly:
         out = self.d
         get = out.get
         for ka, va in a.d.items():
-            if not va:
-                continue
             if sign < 0:
                 va = -va
             for kb, vb in b.d.items():
@@ -129,8 +131,7 @@ class DictPoly:
                         del out[k]
 
     def equal_scaled(self, ca: int, other: "DictPoly", cb: int) -> bool:
-        a = self.to_dict()
-        b = other.to_dict()
+        a, b = self.d, other.d
         if len(a) != len(b):
             return False
         for k, v in a.items():
@@ -139,8 +140,7 @@ class DictPoly:
         return True
 
     def max_key(self) -> int | None:
-        keys = [k for k, v in self.d.items() if v]
-        return max(keys) if keys else None
+        return max(self.d, default=None)
 
     def get(self, key: int) -> int:
         return self.d.get(key, 0)

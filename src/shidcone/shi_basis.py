@@ -2,25 +2,27 @@
 
 Each phi_j is a polynomial vector field sum_i phi_j(x_i) d/dx_i with
 phi_j(z) = 0, whose coefficients are assembled from elementary symmetric
-functions and homogenized Bernoulli-relative polynomials:
+functions and homogenized Bernoulli-relative polynomials.  One formula
+gives all of them, 1 <= j <= l:
 
-  phi_j = (x_j - x_{j+1} - z) * sum_i sum_{K1,K2} (prod K1)(prod K2)^2
-          * (-z)^|K1| * sum_{n1,n2} (-1)^(n1+n2) sigma_{n1} tau_{2 n2}
-          * Bbar_{k,k0}(x_i, z) d/dx_i                 (1 <= j <= l-1)
-
-  phi_l = sum_i sum_{K1,K2} (prod K1)(prod K2)^2 (-z)^|K1|
-          * (-x_l) * Bbar_{-1,k0}(x_i, z) d/dx_i
+  phi_j = P_j * sum_i sum_{K1,K2} (prod K1)(prod K2)^2 * (-z)^|K1|
+          * sum_{n1,n2} (-1)^(n1+n2) sigma_{n1} tau_{2 n2}
+          * Bbar_{k,k0}(x_i, z) d/dx_i
 
 where (K1, K2) ranges over ordered pairs of disjoint subsets of
-J = {x_1, ..., x_{j-1}}, sigma is taken over J1 = {x_j, x_{j+1}}, tau over
-the squares of J2 = {x_{j+2}, ..., x_l}, k0 = |J \\ (K1 u K2)| and
-k = (|J1| - n1) + 2(|J2| - n2) - 1.
+J = {x_1, ..., x_{j-1}}, sigma is taken over J1, tau over the squares of
+J2, k0 = |J \\ (K1 u K2)| and k = (|J1| - n1) + 2(|J2| - n2) - 1.  For
+j < l the prefactor is P_j = x_j - x_{j+1} - z, J1 = {x_j, x_{j+1}} and
+J2 = {x_{j+2}, ..., x_l}.  phi_l is the case j = l: P_l = -x_l, J1 and J2
+are empty, so the sigma/tau sum is the single term 1 and k = -1.
 
 The summand with (k, k0) = (-1, 0) stands for the rational function -1/x_i.
 It never becomes a Laurent object here: each coefficient accumulates the
-whole sum multiplied through by x_i and is divided by x_i exactly at the
-end.  A failed division would mean the formula was transcribed wrongly, so
-it aborts loudly.
+whole sum multiplied through by x_i, multiplies by P_j and is divided by
+x_i exactly at the end.  The prefactor comes before the division because
+for phi_l at i = l the sum alone keeps its pole at x_l = 0; only P_l = -x_l
+cancels it.  A failed division would mean the formula was transcribed
+wrongly, so it aborts loudly.
 
 Together with the Euler field theta_E = z d/dz + sum_i x_i d/dx_i these
 l + 1 derivations are the basis that the verify module checks against
@@ -36,9 +38,13 @@ from itertools import product as iproduct
 from typing import Iterator, Sequence
 
 from .bernoulli import make_bernoulli
-from .exactpoly import Poly, elementary_symmetric, exact_div, remap_variables
-
-_F1 = Fraction(1)
+from .exactpoly import (
+    Poly,
+    default_names,
+    elementary_symmetric,
+    exact_div,
+    remap_variables,
+)
 
 
 @dataclass(frozen=True)
@@ -104,19 +110,11 @@ def term_indices(j: int, ell: int) -> Iterator[TermIndex]:
     """All summand indices of phi_j at rank ell, in construction order."""
     if not 1 <= j <= ell:
         raise ValueError(f"j must be in 1..{ell}")
-    if j < ell:
-        J = tuple(range(j - 1))
-        J1 = (j - 1, j)
-        J2 = tuple(range(j + 1, ell))
-    else:
-        J = tuple(range(ell - 1))
-        J1 = ()
-        J2 = ()
+    J = tuple(range(j - 1))
+    J1 = (j - 1, j) if j < ell else ()
+    J2 = tuple(range(j + 1, ell))
     for K1, K2 in enumerate_k1_k2(J):
         k0 = len(J) - len(K1) - len(K2)
-        if j == ell:
-            yield TermIndex(j, J, J1, J2, K1, K2, 0, 0, k0, -1)
-            continue
         for n1 in range(len(J1) + 1):
             for n2 in range(len(J2) + 1):
                 k = (len(J1) - n1) + 2 * (len(J2) - n2) - 1
@@ -134,11 +132,11 @@ def _bernoulli_embedded(k: int, k0: int, var: int, nvars: int) -> Poly | None:
 
 
 @lru_cache(maxsize=None)
-def _sigma_tau_table(j: int, ell: int) -> dict[tuple[int, int], Poly]:
-    """(-1)^(n1+n2) * sigma_{n1}^{J1} * tau_{2 n2}^{J2} for all (n1, n2)."""
-    nvars = ell + 1
-    J1 = (j - 1, j)
-    J2 = tuple(range(j + 1, ell))
+def _sigma_tau_table(
+    J1: tuple[int, ...], J2: tuple[int, ...], nvars: int
+) -> dict[tuple[int, int], Poly]:
+    """(-1)^(n1+n2) * sigma_{n1}^{J1} * tau_{2 n2}^{J2} for all (n1, n2);
+    {(0, 0): 1} when J1 and J2 are empty (the j = l case)."""
     sigma = [
         elementary_symmetric(nvars, [Poly.variable(nvars, v) for v in J1], n1)
         for n1 in range(len(J1) + 1)
@@ -157,15 +155,49 @@ def _sigma_tau_table(j: int, ell: int) -> dict[tuple[int, int], Poly]:
 
 
 def _subset_weight(K1: Sequence[int], K2: Sequence[int], nvars: int) -> Poly:
-    """(prod K1) * (prod K2)^2 * (-z)^|K1| as a polynomial."""
-    w = Poly.one(nvars)
+    """(prod K1) * (prod K2)^2 * (-z)^|K1|, a single monomial."""
+    exps = [0] * nvars
     for v in K1:
-        w = w * Poly.variable(nvars, v)
+        exps[v] = 1
     for v in K2:
-        w = w * (Poly.variable(nvars, v) ** 2)
-    if K1:
-        w = w * ((-Poly.variable(nvars, nvars - 1)) ** len(K1))
-    return w
+        exps[v] = 2
+    exps[-1] = len(K1)
+    return Poly.from_terms(nvars, {tuple(exps): (-1) ** len(K1)})
+
+
+def _build_phi(j: int, ell: int) -> Derivation:
+    """phi_j for 1 <= j <= ell, from the one formula of the module doc."""
+    nvars = ell + 1
+    z = Poly.variable(nvars, nvars - 1)
+    if j < ell:
+        prefactor = Poly.variable(nvars, j - 1) - Poly.variable(nvars, j) - z
+    else:
+        prefactor = -Poly.variable(nvars, ell - 1)
+    # the inner sum depends on the summand only through weight * sigma_tau
+    # and (k, k0), so the summands sharing a Bbar_{k,k0} are added up once
+    groups: dict[tuple[int, int], Poly] = {}
+    for t in term_indices(j, ell):
+        st = _sigma_tau_table(t.J1, t.J2, nvars)[(t.n1, t.n2)]
+        summand = _subset_weight(t.K1, t.K2, nvars) * st
+        groups[(t.k, t.k0)] = groups.get((t.k, t.k0), Poly.zero(nvars)) + summand
+    coeff_x = []
+    for i in range(ell):
+        xi = Poly.variable(nvars, i)
+        # accumulate x_i * (inner sum); the (k, k0) = (-1, 0) summands carry
+        # the factor x_i * (-1/x_i) = -1
+        acc = Poly.zero(nvars)
+        for (k, k0), group in groups.items():
+            bbar = _bernoulli_embedded(k, k0, i, nvars)
+            if bbar is None:
+                acc = acc - group
+            elif bbar:
+                acc = acc + group * (bbar * xi)
+        # the prefactor goes on before the division: for phi_l at i = l the
+        # inner sum alone is not divisible by x_l
+        coeff_x.append(exact_div(acc * prefactor, xi))
+    return Derivation(
+        ell=ell, name=f"phi_{j}", coeff_x=tuple(coeff_x), coeff_z=Poly.zero(nvars)
+    )
 
 
 def build_phi(j: int, ell: int) -> Derivation:
@@ -174,59 +206,14 @@ def build_phi(j: int, ell: int) -> Derivation:
         raise ValueError("ell must be >= 2")
     if not 1 <= j <= ell - 1:
         raise ValueError(f"j must be in 1..{ell - 1}")
-    nvars = ell + 1
-    z = Poly.variable(nvars, nvars - 1)
-    prefactor = Poly.variable(nvars, j - 1) - Poly.variable(nvars, j) - z
-    st = _sigma_tau_table(j, ell)
-    indices = list(term_indices(j, ell))
-    coeff_x = []
-    for i in range(ell):
-        xi = Poly.variable(nvars, i)
-        # accumulate x_i * (inner sum); the (k, k0) = (-1, 0) summands carry
-        # the factor x_i * (-1/x_i) = -1
-        acc = Poly.zero(nvars)
-        weight_cache: dict[tuple, Poly] = {}
-        for t in indices:
-            wkey = (t.K1, t.K2)
-            weight = weight_cache.get(wkey)
-            if weight is None:
-                weight = _subset_weight(t.K1, t.K2, nvars)
-                weight_cache[wkey] = weight
-            bbar = _bernoulli_embedded(t.k, t.k0, i, nvars)
-            if bbar is None:
-                acc = acc - weight * st[(t.n1, t.n2)]
-            elif bbar:
-                acc = acc + weight * st[(t.n1, t.n2)] * bbar * xi
-        coeff = exact_div(acc, xi) * prefactor
-        coeff_x.append(coeff)
-    return Derivation(
-        ell=ell, name=f"phi_{j}", coeff_x=tuple(coeff_x), coeff_z=Poly.zero(nvars)
-    )
+    return _build_phi(j, ell)
 
 
 def build_phi_ell(ell: int) -> Derivation:
     """The derivation phi_ell (the j = ell case, built from Bbar_{-1, k0})."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    nvars = ell + 1
-    x_last = Poly.variable(nvars, ell - 1)
-    indices = list(term_indices(ell, ell))
-    coeff_x = []
-    for i in range(ell):
-        xi = Poly.variable(nvars, i)
-        acc = Poly.zero(nvars)
-        for t in indices:
-            weight = _subset_weight(t.K1, t.K2, nvars)
-            bbar = _bernoulli_embedded(-1, t.k0, i, nvars)
-            if bbar is None:
-                # (-x_l) * (-1/x_i) * x_i = x_l
-                acc = acc + weight * x_last
-            elif bbar:
-                acc = acc - weight * x_last * bbar * xi
-        coeff_x.append(exact_div(acc, xi))
-    return Derivation(
-        ell=ell, name=f"phi_{ell}", coeff_x=tuple(coeff_x), coeff_z=Poly.zero(nvars)
-    )
+    return _build_phi(ell, ell)
 
 
 def build_euler(ell: int) -> Derivation:
@@ -272,17 +259,20 @@ def apply(theta: Derivation, f: Poly) -> Poly:
 # -- wire format -------------------------------------------------------------
 
 
+def poly_terms_json(poly: Poly) -> list:
+    """[[exponent array, "num", "den"], ...] in descending pure-lex order,
+    integers rendered as decimal strings."""
+    return [
+        [list(mono), str(c.numerator), str(c.denominator)]
+        for mono, c in poly.terms()
+    ]
+
+
 def derivation_to_dict(theta: Derivation) -> dict:
-    """JSON-ready encoding: coefficients as lists of
-    [exponent array, "numerator", "denominator"] triples in descending lex
-    order, integers rendered as decimal strings."""
-    names = [f"x{i + 1}" for i in range(theta.ell)] + ["z"]
-    coeffs = {}
-    for name, poly in zip(names, theta.coefficients()):
-        coeffs[name] = [
-            [list(mono), str(c.numerator), str(c.denominator)]
-            for mono, c in poly.terms()
-        ]
+    """JSON-ready encoding: each coefficient, keyed by its variable name, as
+    poly_terms_json gives it."""
+    names = default_names(theta.nvars)
+    coeffs = {name: poly_terms_json(p) for name, p in zip(names, theta.coefficients())}
     return {"ell": theta.ell, "name": theta.name, "coeffs": coeffs}
 
 
@@ -290,9 +280,8 @@ def derivation_from_dict(data: dict) -> Derivation:
     """Inverse of derivation_to_dict."""
     ell = int(data["ell"])
     nvars = ell + 1
-    names = [f"x{i + 1}" for i in range(ell)] + ["z"]
     polys = []
-    for name in names:
+    for name in default_names(nvars):
         terms = {
             tuple(mono): Fraction(int(num), int(den))
             for mono, num, den in data["coeffs"][name]

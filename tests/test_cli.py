@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -162,3 +163,20 @@ def test_parse_args_normalizes_oracle_commands():
 
 def test_run_unknown_command(capsys):
     assert run(RunConfig(command="nope")) == 2
+
+
+# sha256 of `shidcone basis --ell L --format json`.  Only rank 2 has golden
+# coefficients, so these pin every coefficient at ranks 3 to 5: a change
+# that still passes Saito's criterion would otherwise go unnoticed.
+_BASIS_JSON_SHA256 = {
+    3: "2077c3e2d2d63dd87373ccee9fbcce23788da9b4259d038d54833e8f1ed289b1",
+    4: "b5a2830a569f41d5cecce12780b83f463ef4d7be3b946c4cff87b7264e13ee18",
+    5: "319086df0acd611e946d48c3e53133cecc10b59457d805c36c0e64d04f133e66",
+}
+
+
+@pytest.mark.parametrize("ell", sorted(_BASIS_JSON_SHA256))
+def test_basis_json_is_pinned(capsys, ell):
+    status, out, _ = invoke(capsys, "basis", "--ell", str(ell), "--format", "json")
+    assert status == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _BASIS_JSON_SHA256[ell]

@@ -260,6 +260,30 @@ def test_full_det_rejects_wrong_z_row(cached_basis, method, mutant):
     assert not report.saito_ok
 
 
+def _column_mutants(derivs):
+    """Two bases whose every derivation passes membership but whose
+    determinant is wrong: phi_1 and phi_2 exchanged, and phi_2 replaced by
+    a copy of phi_1."""
+    swapped = list(derivs)
+    swapped[1], swapped[2] = derivs[2], derivs[1]
+    duplicated = list(derivs)
+    duplicated[2] = derivs[1]
+    return {"swapped": swapped, "duplicated": duplicated}
+
+
+@pytest.mark.parametrize("method", ["expand", "certify"])
+@pytest.mark.parametrize("mutant", ["swapped", "duplicated"])
+def test_det_rejects_wrong_columns(cached_basis, method, mutant):
+    # (x_j - x_{j+1} - z) does not divide these columns; expand must report
+    # that as a failed check, as certify does, not raise
+    derivs = _column_mutants(cached_basis(3))[mutant]
+    report = saito_verify(3, method=method, derivs=derivs)
+    assert report.membership_ok
+    assert not report.det_matches_corollary
+    assert report.det_constant is None
+    assert not report.saito_ok
+
+
 def test_report_copy_keeps_its_determinant():
     # under expand the report holds a kernel polynomial; a copy must not
     # share (and later free) its table
