@@ -7,7 +7,8 @@ polynomial B(x) satisfying the telescoping functional equation
 
 This module constructs B exactly (rational arithmetic throughout) together
 with its homogenization  Bbar(x, z) = z^(p+2q) * B(x/z), a homogeneous
-bivariate polynomial of degree p + 2q (or zero when p = 0).
+bivariate polynomial of degree p + 2q (or zero when p = 0).  Its exponents
+must fit exactpoly's packed fields, so p + 2q is at most 255.
 
 The exceptional pair (p, q) = (-1, 0) has the rational-function solution
 -1/x; it is represented by a flag and never materialized as a polynomial —
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactpoly import Poly, UniPoly
+from .exactpoly import FIELD_MASK, Poly, UniPoly
 
 @dataclass(frozen=True)
 class BernoulliRelative:
@@ -109,10 +110,12 @@ def make_bernoulli(p: int, q: int) -> BernoulliRelative:
     """
     if p < -1 or q < 0:
         raise ValueError("require p >= -1 and q >= 0")
+    d = p + 2 * q
+    if d > FIELD_MASK:
+        raise ValueError(f"degree p + 2q = {d} of the homogenization exceeds {FIELD_MASK}")
     if (p, q) == (-1, 0):
         return BernoulliRelative(p, q, None, None, is_negative_one_zero=True)
     b = antisymmetrize(discrete_antiderivative(rhs_poly(p, q)))
-    d = p + 2 * q
     if b.degree() > d:
         raise AssertionError(f"degree {b.degree()} of B_({p},{q}) exceeds {d}")
     homog = Poly.from_terms(

@@ -1,15 +1,13 @@
 """Integer polynomial kernel used by the determinant verification.
 
 The determinant of the basis matrix is a huge polynomial (200k terms at
-rank 5), so it is expanded over integer-coefficient polynomials with
-monomials packed into single integers (8 bits per exponent, most
-significant field = x1, so integer comparison is pure-lex comparison).
-This module is the only one that knows that layout; it owns the way from
-``Poly`` to kernel polynomials and back:
+rank 5), so it is expanded over integer-coefficient polynomials whose keys
+are ``Poly``'s own packed monomials (the layout of ``exactpoly``: 8 bits per
+exponent, x1 in the most significant field, at most 255 per variable).
+Keys pass between ``Poly`` and the kernel unchanged:
 
   * ``poly_to_int_dict`` / ``int_dict_to_poly``: a ``Poly`` to integer
-    terms and a denominator, and back (``repack_key`` / ``unpack_key`` for
-    single monomials);
+    terms and a denominator, and back;
   * ``clear_columns``: the columns of a ``Poly`` matrix to kernel rows, each
     column under its own denominator, and the product of the denominators;
   * ``det_minor_expansion``: the determinant of kernel rows;
@@ -17,14 +15,16 @@ This module is the only one that knows that layout; it owns the way from
     loop.
 
 The last two raise ExponentOverflowError where a packed exponent could
-carry into the next field.  Two interchangeable implementations provide the
-kernel polynomial (``IntPolyLike``: ``from_dict``, ``to_dict``, ``nnz``,
-``is_zero``, ``fma``, ``equal_scaled``, ``max_key``, ``get``):
+carry into the next field (``exactpoly.check_field_room``).  Two
+interchangeable implementations provide the kernel polynomial
+(``IntPolyLike``: ``from_dict``, ``to_dict``, ``nnz``, ``is_zero``, ``fma``,
+``equal_scaled``, ``max_key``, ``get``):
 
-  * ``DictPoly`` — pure Python, dict[int, int]; works for any rank.
+  * ``DictPoly`` — pure Python, dict[int, int]; any number of variables.
   * ``IntPoly``  — open-addressing hash with 128-bit accumulators in the C
-                   file ``_detkernel.c``, called through ctypes; requires
-                   nvars <= 7 (keys < 2^56).
+                   file ``_detkernel.c``, called through ctypes; its int64
+                   keys must stay below 2^56 (``KEY_LIMIT``), so at most 7
+                   variables.
 
 The C table puts a key at the low bits of MurmurHash3's ``fmix64`` of the
 whole key and probes linearly.  Packed keys differ mostly in a few fields,
@@ -64,11 +64,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Protocol, Sequence
 
-from .exactpoly import FIELD_BITS, FIELD_MASK, ExponentOverflowError, Poly, clear_denominators
-
-PACK_BITS = 8
-PACK_MASK = (1 << PACK_BITS) - 1
-MAX_KERNEL_VARS = 7
+from .exactpoly import Poly, check_field_room, clear_denominators
 
 
 class IntPolyLike(Protocol):
@@ -388,36 +384,10 @@ def get_impl(fast: bool | None = None):
 # -- conversions -------------------------------------------------------------
 
 
-def repack_key(key16: int, nvars: int) -> int:
-    """Convert a 16-bit-field packed monomial to the kernel's 8-bit fields."""
-    out = 0
-    for i in range(nvars):
-        e = key16 & FIELD_MASK
-        key16 >>= FIELD_BITS
-        if e > PACK_MASK:
-            raise ExponentOverflowError(f"exponent {e} exceeds kernel field width")
-        out |= e << (PACK_BITS * i)
-    return out
-
-
-def unpack_key(key8: int, nvars: int) -> tuple[int, ...]:
-    exps = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        exps[i] = key8 & PACK_MASK
-        key8 >>= PACK_BITS
-    return tuple(exps)
-
-
-def _repack_terms(terms: dict[int, int], nvars: int) -> dict[int, int]:
-    if nvars > MAX_KERNEL_VARS:
-        raise ValueError(f"kernel supports at most {MAX_KERNEL_VARS} variables")
-    return {repack_key(k, nvars): v for k, v in terms.items()}
-
-
 def poly_to_int_dict(f: Poly) -> tuple[dict[int, int], int]:
     """Clear denominators: returns (integer term dict, den) with f = terms/den."""
     (terms,), den = clear_denominators([f])
-    return _repack_terms(terms, f.nvars), den
+    return terms, den
 
 
 def clear_columns(columns: Sequence[Sequence[Poly]], impl) -> tuple[list[list], int]:
@@ -431,47 +401,17 @@ def clear_columns(columns: Sequence[Sequence[Poly]], impl) -> tuple[list[list], 
     cols, den = [], 1
     for column in columns:
         terms, d = clear_denominators(column)
-        cols.append([impl.from_dict(_repack_terms(t, f.nvars)) for t, f in zip(terms, column)])
+        cols.append([impl.from_dict(t) for t in terms])
         den *= d
     return [list(row) for row in zip(*cols)], den
 
 
 def int_dict_to_poly(d: dict[int, int], den: int, nvars: int) -> Poly:
     """Inverse of poly_to_int_dict (den may be any nonzero integer)."""
-    terms = {}
-    for k, v in d.items():
-        if v:
-            terms[unpack_key(k, nvars)] = Fraction(v, den)
-    return Poly.from_terms(nvars, terms)
+    return Poly(nvars, {k: Fraction(v, den) for k, v in d.items() if v})
 
 
 # -- determinant by minor expansion ------------------------------------------
-
-
-def _check_exponent_room(rows: Sequence[Sequence[IntPolyLike]]) -> None:
-    """Raise ExponentOverflowError unless every product of one entry per row
-    fits the 8-bit fields.  A field of such a product is at most the sum over
-    rows of that field's largest value in the row; past PACK_MASK, adding
-    packed keys would carry into the next variable without any error."""
-    totals: dict[int, int] = {}
-    for row in rows:
-        peaks: dict[int, int] = {}
-        for entry in row:
-            for key in entry.to_dict():
-                shift = 0
-                while key:
-                    e = key & PACK_MASK
-                    if e > peaks.get(shift, 0):
-                        peaks[shift] = e
-                    key >>= PACK_BITS
-                    shift += PACK_BITS
-        for shift, e in peaks.items():
-            totals[shift] = totals.get(shift, 0) + e
-    for shift, total in totals.items():
-        if total > PACK_MASK:
-            raise ExponentOverflowError(
-                f"a minor's exponent can reach {total}, above the kernel's limit {PACK_MASK}"
-            )
 
 
 def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> IntPolyLike:
@@ -488,7 +428,8 @@ def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> IntPolyL
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    _check_exponent_room(rows)
+    # every product of one entry per row must keep each exponent in its field
+    check_field_room([k for entry in row for k in entry.to_dict()] for row in rows)
     minors = {(): impl.from_dict({0: 1})}
     for r in range(n):
         nxt = {}
@@ -509,11 +450,11 @@ def int_product(factors: Sequence[dict[int, int] | IntPolyLike], impl) -> IntPol
     """Product of integer term dicts or kernel polynomials of ``impl``
     (empty product = 1); a single factor is returned as it is.
 
-    Raises ExponentOverflowError unless the product fits the 8-bit fields
-    (each factor is checked as a one-entry row of a minor).
+    Raises ExponentOverflowError unless every exponent of the product fits
+    its packed field.
     """
     polys = [impl.from_dict(f) if isinstance(f, dict) else f for f in factors]
-    _check_exponent_room([[p] for p in polys])
+    check_field_room(p.to_dict() for p in polys)
     acc, *rest = polys or [impl.from_dict({0: 1})]
     for p in rest:
         nxt = impl.from_dict({})

@@ -6,11 +6,17 @@ rendered as ``z``.  Coefficients are :class:`fractions.Fraction` (always
 reduced, exact); monomials are exponent tuples.
 
 The one and only monomial order used anywhere in this package is pure
-lexicographic with x1 > x2 > ... > z.  Internally each monomial is packed
-into a single integer, 16 bits per exponent with x1 occupying the most
+lexicographic with x1 > x2 > ... > z.  Each monomial is packed into a single
+integer, ``FIELD_BITS = 8`` bits per exponent with x1 occupying the most
 significant field, so that *integer comparison of packed keys is exactly the
-pure-lex comparison*.  All operations guard against exponent-field overflow
-(which would silently corrupt results) by bounding total degrees.
+pure-lex comparison* and multiplying monomials is adding keys.  This module
+owns that layout: the integer kernel of ``detkernel`` takes the same keys
+unchanged, and no other module shifts or masks exponent fields.  An exponent
+is at most 255 (``FIELD_MASK``); the compiled kernel's keys are int64 below
+2^56, so it takes at most 7 variables.  A sum of keys whose exponents pass
+255 would carry into the next variable without any error, so products check
+the room first (``check_field_room``), division checks each quotient term,
+and both raise ExponentOverflowError instead.
 
 Division runs over the integers: the dividend's denominators are cleared
 once, the divisor is scaled to a primitive integer polynomial, and one heap
@@ -31,7 +37,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 Rational = Fraction
 Monomial = tuple  # exponent tuple, one entry per variable
 
-FIELD_BITS = 16
+FIELD_BITS = 8
 FIELD_MASK = (1 << FIELD_BITS) - 1
 
 _F0 = Fraction(0)
@@ -76,6 +82,39 @@ def _key_degree(key: int) -> int:
         d += key & FIELD_MASK
         key >>= FIELD_BITS
     return d
+
+
+def _field_peaks(keys: Iterable[int]) -> dict[int, int]:
+    """The largest exponent of each variable over packed keys, by the shift
+    of its field (variables absent from every key are left out)."""
+    peaks: dict[int, int] = {}
+    for key in keys:
+        shift = 0
+        while key:
+            e = key & FIELD_MASK
+            if e > peaks.get(shift, 0):
+                peaks[shift] = e
+            key >>= FIELD_BITS
+            shift += FIELD_BITS
+    return peaks
+
+
+def check_field_room(key_groups: Iterable[Iterable[int]]) -> None:
+    """Raise ExponentOverflowError unless every sum of one packed key from
+    each group keeps each exponent within FIELD_MASK.
+
+    A variable's exponent in such a sum is at most the sum over groups of
+    its largest exponent in the group, and that bound is reached, so the
+    check is exact.  Past FIELD_MASK, adding the keys would carry into the
+    next variable without any error.
+    """
+    totals: dict[int, int] = {}
+    for keys in key_groups:
+        for shift, e in _field_peaks(keys).items():
+            totals[shift] = totals.get(shift, 0) + e
+    for total in totals.values():
+        if total > FIELD_MASK:
+            raise ExponentOverflowError(f"an exponent can reach {total}, above {FIELD_MASK}")
 
 
 class UniPoly:
@@ -373,11 +412,12 @@ class Poly:
         self._check_compat(other)
         if not self._terms or not other._terms:
             return Poly(self.nvars)
-        # One overflow guard covers every product monomial: each packed
-        # field is bounded by the total degree, and degrees add under *.
+        # Exponents add under *, variable by variable.  No exponent exceeds
+        # the total degree, so only a product whose degree passes FIELD_MASK
+        # needs the per-variable check.
         degree = self.total_degree() + other.total_degree()
         if degree > FIELD_MASK:
-            raise ExponentOverflowError(f"product degree {degree} exceeds {FIELD_MASK}")
+            check_field_room((self._terms, other._terms))
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
@@ -567,7 +607,7 @@ def _primitive(b: Poly) -> tuple[dict[int, int], Fraction]:
 
 
 def _divide(
-    work: dict[int, int], divisor: dict[int, int], exact: bool, quotient: bool
+    work: dict[int, int], divisor: dict[int, int], nvars: int, exact: bool, quotient: bool
 ) -> tuple[dict[int, object], dict[int, object]] | None:
     """The division loop shared by every division in this module.
 
@@ -582,17 +622,19 @@ def _divide(
     coefficient that is not a multiple of the leading coefficient.
     Otherwise such a step yields a Fraction and the loop goes on.  Without
     ``quotient`` no quotient terms are stored.
+
+    Under lex, reducing can raise a smaller variable's exponent without
+    bound (x1^k by x1 - z^2 leaves z^(2k)), so each quotient term is
+    checked before its products are added: ``room`` packs the other
+    divisor terms' largest exponents, and qk + room carries out of a field
+    exactly when some qk + bk would.
     """
     lead = max(divisor)
     lc = divisor[lead]
     rest = [(k, c) for k, c in divisor.items() if k != lead]
-    fields = []  # (shift, exponent) of each variable in the leading monomial
-    shift, k = 0, lead
-    while k:
-        if k & FIELD_MASK:
-            fields.append((shift, k & FIELD_MASK))
-        k >>= FIELD_BITS
-        shift += FIELD_BITS
+    room = sum(e << shift for shift, e in _field_peaks(k for k, _ in rest).items())
+    carries = sum(1 << (FIELD_BITS * i) for i in range(1, nvars + 1))
+    fields = list(_field_peaks([lead]).items())  # (shift, exponent) in the lead
     quo: dict[int, object] = {}
     rem: dict[int, object] = {}
     heap = [-k for k in work]
@@ -615,6 +657,8 @@ def _divide(
                     return None
                 qc = Fraction(c, lc)
             qk = key - lead
+            if ((qk + room) ^ qk ^ room) & carries:
+                raise ExponentOverflowError(f"an exponent would pass {FIELD_MASK} in division")
             if quotient:
                 quo[qk] = qc  # keys strictly descend, so each qk occurs once
             for bk, bc in rest:
@@ -642,7 +686,7 @@ def division_with_remainder(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     divisor, content = _primitive(b)
     a._check_compat(b)
     (work,), den = clear_denominators([a])
-    quo, rem = _divide(work, divisor, exact=False, quotient=True)
+    quo, rem = _divide(work, divisor, a.nvars, exact=False, quotient=True)
     scale = content * den
     return (
         Poly(a.nvars, {k: c / scale for k, c in quo.items()}),
@@ -659,7 +703,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     divisor, content = _primitive(b)
     a._check_compat(b)
     (work,), den = clear_denominators([a])
-    out = _divide(work, divisor, exact=True, quotient=True)
+    out = _divide(work, divisor, a.nvars, exact=True, quotient=True)
     if out is None:
         raise DivisionNotExactError("division not exact: nonzero remainder")
     scale = content * den
@@ -677,7 +721,7 @@ def divides_integer_terms(b: Poly, terms: dict[int, int]) -> bool:
     (packed keys of b's ring, no zero values).  Stops at the first
     remainder term and never builds the quotient."""
     divisor, _ = _primitive(b)
-    return _divide(dict(terms), divisor, exact=True, quotient=False) is not None
+    return _divide(dict(terms), divisor, b.nvars, exact=True, quotient=False) is not None
 
 
 def elementary_symmetric(nvars: int, gens: Sequence[Poly], n: int) -> Poly:

@@ -67,11 +67,11 @@ from .detkernel import (
     int_dict_to_poly,
     int_product,
     poly_to_int_dict,
-    unpack_key,
 )
 from .exactpoly import (
     DivisionNotExactError,
     Poly,
+    _unpack,
     clear_denominators,
     divides,
     divides_integer_terms,
@@ -395,7 +395,7 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
     det_lc = None
     if not reduced.is_zero():
         mk = reduced.max_key()
-        init = list(unpack_key(mk, nvars))
+        init = list(_unpack(mk, nvars))
         for f in factors:
             fin = f.initial_monomial()
             init = [a + b for a, b in zip(init, fin)]
@@ -493,8 +493,8 @@ def _det_certify(
             init = [a + b for a, b in zip(init, fp.initial_monomial())]
             det_lc *= fp.leading_coefficient()
         det_initial = tuple(init)
-        # key 0 is the constant monomial in any layout; nothing here limits
-        # nvars, since det_phi is only built on access
+        # key 0 is the constant monomial; nothing here limits nvars, since
+        # det_phi is only built on access
         head = get_impl().from_dict({0: constant.numerator})
         det_data = (head, constant.denominator, forms, nvars)
     return {
@@ -542,8 +542,11 @@ def saito_verify(
     timing["basis"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    membership = {d.name: check_membership(d, arr) for d in derivs}
-    membership_ok = all(all(row.values()) for row in membership.values())
+    # the verdict runs over every derivation by position: the report's map
+    # is keyed by name, so a failing row could hide behind a later namesake
+    rows = [check_membership(d, arr) for d in derivs]
+    membership = {d.name: row for d, row in zip(derivs, rows)}
+    membership_ok = all(all(row.values()) for row in rows)
     timing["membership"] = time.perf_counter() - t
 
     t = time.perf_counter()

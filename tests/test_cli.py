@@ -72,6 +72,17 @@ def test_bernoulli_invalid_usage(capsys):
     assert status == 2
 
 
+def test_bernoulli_degree_past_the_exponent_limit_is_a_usage_error(capsys):
+    # p + 2q = 256: Bbar's monomials cannot be packed, so it is refused
+    # before any work is done
+    status, out, err = invoke(capsys, "bernoulli", "--p", "2", "--q", "127")
+    assert status == 2
+    assert out == ""
+    assert "255" in err
+    status, _, _ = invoke(capsys, "bernoulli", "--p", "1", "--q", "127")
+    assert status == 0
+
+
 def test_det_golden_text(capsys):
     status, out, _ = invoke(capsys, "det", "--ell", "2")
     assert status == 0
@@ -180,3 +191,26 @@ def test_basis_json_is_pinned(capsys, ell):
     status, out, _ = invoke(capsys, "basis", "--ell", str(ell), "--format", "json")
     assert status == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _BASIS_JSON_SHA256[ell]
+
+
+# sha256 of the outputs that pass through the kernel and back into a Poly:
+# `verify --method M --format json --include-det` and `det --format json`.
+_KERNEL_JSON_SHA256 = {
+    ("verify", "expand", 3): "10d50e2173b9a8309211ab5c8701fca593a073ac2690dbb230653db52a66d026",
+    ("verify", "certify", 3): "73c10b03a5bcc4a4d8a81b0ca79a66c7af22655afb6d80935e7feef2fc95e21e",
+    ("verify", "expand", 4): "017fba66e299a03b379f731a902eee4d5f29060d2fabd177213588e48a9a4e4a",
+    ("verify", "certify", 4): "3ad47468151fe5ebcb67e93ab89294ddf72c7fe6190f32c43af7eb0df2062f16",
+    ("det", None, 3): "879710affc08179837a6a059daf6c3abd49ffd145f37f57539862ca113860587",
+    ("det", None, 4): "9d8f462dd8cfc8ccbbd108661cb70fe518216886a0515a2c116bc58ee60247d1",
+}
+
+
+@pytest.mark.parametrize("command,method,ell", sorted(_KERNEL_JSON_SHA256, key=str))
+def test_kernel_json_is_pinned(capsys, command, method, ell):
+    argv = [command, "--ell", str(ell), "--format", "json"]
+    if command == "verify":
+        argv += ["--method", method, "--include-det"]
+    status, out, _ = invoke(capsys, *argv)
+    assert status == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == _KERNEL_JSON_SHA256[(command, method, ell)]

@@ -2,6 +2,7 @@ import ctypes
 import os
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -10,17 +11,14 @@ from hypothesis import strategies as st
 from shidcone import detkernel
 from shidcone.detkernel import (
     HAS_FAST_KERNEL,
-    PACK_MASK,
     DictPoly,
     det_minor_expansion,
     get_impl,
     int_dict_to_poly,
     int_product,
     poly_to_int_dict,
-    repack_key,
-    unpack_key,
 )
-from shidcone.exactpoly import ExponentOverflowError, Poly
+from shidcone.exactpoly import FIELD_MASK, ExponentOverflowError, Poly, _pack
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -29,26 +27,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_fast_kernel_present():
     # the package is functional without it, but this environment builds it
     assert HAS_FAST_KERNEL
-
-
-def test_key_packing_round_trip():
-    for exps in [(0, 0, 0), (1, 2, 3), (20, 0, 30), (255, 255, 255)]:
-        nvars = len(exps)
-        from shidcone.exactpoly import _pack
-
-        key16 = _pack(exps)
-        key8 = repack_key(key16, nvars)
-        assert unpack_key(key8, nvars) == exps
-
-
-def test_packed_keys_preserve_lex_order():
-    from shidcone.exactpoly import _pack
-
-    monos = [(2, 0, 0), (1, 3, 0), (1, 2, 5), (0, 9, 9), (0, 0, 1)]
-    keys16 = [_pack(m) for m in monos]
-    keys8 = [repack_key(k, 3) for k in keys16]
-    assert sorted(keys16, reverse=True) == keys16
-    assert sorted(keys8, reverse=True) == keys8
 
 
 def test_poly_conversion_round_trip():
@@ -62,12 +40,23 @@ def test_poly_conversion_round_trip():
     assert int_dict_to_poly(d, den, n) == f
 
 
+def test_dict_kernel_takes_any_number_of_variables():
+    # keys pass through unchanged, so only the compiled kernel's int64 keys
+    # (below 2^56: at most 7 variables) limit the ring
+    from shidcone.verify import minor_expansion_det
+
+    x = [Poly.variable(9, i) for i in range(9)]
+    matrix = [[x[0], x[8]], [x[4], x[0] + x[1]]]
+    assert minor_expansion_det(matrix, fast=False) == x[0] * (x[0] + x[1]) - x[8] * x[4]
+    if HAS_FAST_KERNEL:
+        with pytest.raises(ValueError, match="kernel range"):
+            minor_expansion_det(matrix, fast=True)
+
+
 def _random_dict(rng, nterms=6, bound=50):
     out = {}
     for _ in range(nterms):
-        key = 0
-        for v in range(3):
-            key |= rng.randrange(0, 6) << (8 * v)
+        key = _pack([rng.randrange(0, 6) for _ in range(3)])
         out[key] = rng.randrange(-bound, bound + 1)
     return {k: v for k, v in out.items() if v}
 
@@ -195,29 +184,48 @@ def test_int_product_exponent_carry_raises(fast):
     # z^200 * z^100 at two variables: the key sum 300 would read x1*z^44
     impl = get_impl(fast)
     with pytest.raises(ExponentOverflowError):
-        int_product([{200: 1}, {100: 1}], impl)
+        int_product([{_pack((0, 200)): 1}, {_pack((0, 100)): 1}], impl)
     # per variable, as in a minor: x1^200 * z^100 fits
-    assert int_product([{200 << 8: 1}, {100: 1}], impl).to_dict() == {(200 << 8) + 100: 1}
+    product = int_product([{_pack((200, 0)): 1}, {_pack((0, 100)): 1}], impl)
+    assert product.to_dict() == {_pack((200, 100)): 1}
 
 
 @st.composite
 def _near_limit_matrices(draw):
     """n x n matrices (n <= 3) over 2 or 3 variables whose exponents cluster
-    around PACK_MASK / n, so that the per-variable sum over rows of each
-    row's largest exponent falls on both sides of the 8-bit limit."""
+    around FIELD_MASK / n, so that for n >= 2 the per-variable sum over rows
+    of each row's largest exponent falls on both sides of the 8-bit limit.
+    No exponent passes FIELD_MASK: such an entry cannot be built (the
+    bounds of ``_pack`` are tested in test_exactpoly)."""
     n = draw(st.integers(1, 3))
     nvars = draw(st.integers(2, 3))
-    centre = PACK_MASK // n
-    exponent = st.integers(centre - 6, centre + 6) | st.integers(0, 2)
+    centre = FIELD_MASK // n
+    exponent = st.integers(centre - 6, min(centre + 6, FIELD_MASK)) | st.integers(0, 2)
     coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
     terms = st.dictionaries(st.tuples(*[exponent] * nvars), coeff, max_size=2)
     return [[Poly.from_terms(nvars, draw(terms)) for _ in range(n)] for _ in range(n)]
 
 
+def _leibniz_det(matrix):
+    """Sum over permutations of signed products of one entry per row.  A
+    partial product's exponent of each variable is at most the sum over rows
+    of the row's largest, so every product fits whenever the minors do
+    (unlike Bareiss, whose undivided intermediates pass the limit first)."""
+    n, nvars = len(matrix), matrix[0][0].nvars
+    det = Poly.zero(nvars)
+    for perm in permutations(range(n)):
+        term = Poly.one(nvars)
+        for r, c in enumerate(perm):
+            term = term * matrix[r][c]
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        det = det - term if inversions % 2 else det + term
+    return det
+
+
 @settings(max_examples=60, deadline=None)
 @given(_near_limit_matrices())
 def test_minor_expansion_near_the_field_limit(matrix):
-    from shidcone.verify import bareiss_det, minor_expansion_det
+    from shidcone.verify import minor_expansion_det
 
     nvars = matrix[0][0].nvars
     need = max(
@@ -225,12 +233,12 @@ def test_minor_expansion_near_the_field_limit(matrix):
         for v in range(nvars)
     )
     fasts = [False, True] if HAS_FAST_KERNEL else [False]
-    if need > PACK_MASK:
+    if need > FIELD_MASK:
         for fast in fasts:
             with pytest.raises(ExponentOverflowError):
                 minor_expansion_det(matrix, fast=fast)
     else:
-        expected = bareiss_det(matrix)
+        expected = _leibniz_det(matrix)
         for fast in fasts:
             assert minor_expansion_det(matrix, fast=fast) == expected
 

@@ -5,8 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shidcone.exactpoly import (
+    FIELD_MASK,
     DivisionNotExactError,
+    ExponentOverflowError,
     Poly,
+    _pack,
+    _unpack,
     divides,
     division_with_remainder,
     elementary_symmetric,
@@ -223,6 +227,52 @@ def test_terms_descending_lex():
     monos = [m for m, _ in f.terms()]
     assert monos == sorted(monos, reverse=True)
     assert monos[0] == (1, 0, 0)
+
+
+# -- packed keys and their overflow guards -------------------------------------
+
+
+def test_pack_accepts_the_field_range_only():
+    assert FIELD_MASK == 255
+    assert _unpack(_pack((255, 0, 255)), 3) == (255, 0, 255)
+    for e in (256, -1):
+        with pytest.raises(ExponentOverflowError):
+            _pack((0, e, 0))
+
+
+def test_key_packing_round_trip():
+    for exps in [(0, 0, 0), (1, 2, 3), (20, 0, 30), (255, 255, 255)]:
+        assert _unpack(_pack(exps), len(exps)) == exps
+
+
+def test_packed_keys_preserve_lex_order():
+    monos = [(2, 0, 0), (1, 3, 0), (1, 2, 5), (1, 0, 255), (0, 255, 255), (0, 9, 9), (0, 0, 1)]
+    keys = [_pack(m) for m in monos]
+    assert sorted(keys, reverse=True) == keys
+
+
+def test_mul_guard_is_per_variable():
+    x1, z = Poly.variable(2, 0), Poly.variable(2, 1)
+    # total degree 300, but no single exponent passes 255
+    assert (x1**200 * z**100).initial_monomial() == (200, 100)
+    assert x1**200 * x1**55 == Poly.from_terms(2, {(255, 0): 1})
+    with pytest.raises(ExponentOverflowError):
+        x1**200 * x1**56
+    assert len((x1**200 + z**200) * (x1**55 + z**55)) == 4
+    with pytest.raises(ExponentOverflowError):
+        (x1**200 + z) * (z + x1**56)
+
+
+def test_division_guard_catches_a_growing_smaller_variable():
+    # under lex, x1^k reduces by x1 - z^2 to the remainder z^(2k)
+    x1, z = Poly.variable(2, 0), Poly.variable(2, 1)
+    assert division_with_remainder(x1**127, x1 - z**2)[1] == z**254
+    with pytest.raises(ExponentOverflowError):
+        division_with_remainder(x1**128, x1 - z**2)
+    with pytest.raises(ExponentOverflowError):
+        divides(x1 - z**2, x1**128)
+    with pytest.raises(ExponentOverflowError):
+        exact_div(x1**128, x1 - z**2)
 
 
 # -- property tests ------------------------------------------------------------

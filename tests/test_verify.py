@@ -284,6 +284,21 @@ def test_det_rejects_wrong_columns(cached_basis, method, mutant):
     assert not report.saito_ok
 
 
+@pytest.mark.parametrize("method", ["expand", "certify"])
+def test_membership_failure_cannot_hide_behind_a_namesake(cached_basis, method):
+    # phi_1 gains x1^4 in its first coefficient, then phi_2 is renamed
+    # "phi_1": the report keeps one row per name, the verdict covers both
+    derivs = cached_basis(3)
+    x1 = Poly.variable(4, 0)
+    phi1, phi2 = derivs[1], derivs[2]
+    bad = _with_phi(derivs, 1, (phi1.coeff_x[0] + x1**4,) + phi1.coeff_x[1:])
+    bad[2] = Derivation(phi2.ell, phi1.name, phi2.coeff_x, phi2.coeff_z)
+    assert not all(check_membership(bad[1], shi_d_cone(3)).values())
+    report = saito_verify(3, method=method, derivs=bad)
+    assert not report.membership_ok
+    assert not report.saito_ok
+
+
 def test_report_copy_keeps_its_determinant():
     # under expand the report holds a kernel polynomial; a copy must not
     # share (and later free) its table
