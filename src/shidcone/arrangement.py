@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactpoly import Poly, exact_div, product
+from .exactpoly import Poly, product
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -41,10 +41,6 @@ class LinearForm:
 
     def text(self) -> str:
         return self.poly().render()
-
-    def proportional_to(self, other: "LinearForm") -> bool:
-        # both normalized, so proportional == equal
-        return self.coeffs == other.coeffs
 
 
 @dataclass(frozen=True)
@@ -107,14 +103,3 @@ def forms_json(arr: Arrangement) -> list[dict]:
         for f in arr.forms
     ]
 
-
-def is_squarefree_product(arr: Arrangement, q: Poly) -> bool:
-    """Check q is divisible by every form exactly once (used in tests)."""
-    from .exactpoly import divides
-
-    for f in arr.forms:
-        fp = f.poly()
-        quotient = exact_div(q, fp)
-        if divides(fp, quotient):
-            return False
-    return True

@@ -52,9 +52,10 @@ def rhs_poly(p: int, q: int) -> UniPoly:
         return (xp1 ** (q - 1)) * (UniPoly((0, 1)) ** (q - 1)) * (Fraction(-1) ** q)
     if p == 0:
         return UniPoly.zero()
+    # Horner's rule in (x+1): each step multiplies by x+1 and adds (-x)^i
     quot = UniPoly.zero()
     for i in range(p):
-        quot = quot + (xp1 ** i) * (mx ** (p - 1 - i))
+        quot = quot * xp1 + UniPoly([0] * i + [(-1) ** i])
     return quot * (xp1 ** q) * (mx ** q)
 
 

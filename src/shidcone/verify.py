@@ -40,15 +40,22 @@ Two exact strategies for the determinant identity:
     both are homogeneous of the same degree 2l(l-1) (degrees checked), so
     the quotient is a constant; it is pinned down exactly by one rational
     evaluation at a point where Q does not vanish.  Each phi entry is
-    evaluated once, in integer arithmetic, and the values serve both the
-    l x l and the full determinant.  The initial monomial and leading
-    coefficient of det are those of constant * prod(forms): the sum of the
-    forms' initial monomials and the product of their leading coefficients.
-    Every premise is checked mechanically; the glue steps (Cramer, UFD,
+    evaluated once, in integer arithmetic.  The full determinant needs no
+    evaluation: the degrees premise includes the z row (z, 0, ..., 0), and
+    Laplace expansion along it gives (-1)^l * z * det[phi_j(x_i)].  Every
+    premise is checked mechanically; the glue steps (Cramer, UFD,
     homogeneity of determinants) are classical.  Default for l >= 6; rank 6
     verifies in about 1.1 s and rank 7 in about 5.5 s on a 2-vCPU VM.
 
-Both strategies report the same fields and agree wherever both run.
+Both strategies hand back det[phi_j(x_i)] in one form, head * prod(factors)
+/ den: the reduced determinant and the column forms under ``expand``, the
+constant and the forms of Q/z under ``certify``.  The initial monomial and
+leading coefficient of det are read from it: the sum of the factors'
+initial monomials and the product of their leading coefficients.  The
+strategies agree on every field of a passing run, and always on saito_ok.
+On failing input they may stop at different points: ``expand`` reports
+in(det) of any determinant its columns reduce to, ``certify`` nothing past
+a wrong constant.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .arrangement import Arrangement, shi_d_cone
@@ -81,15 +88,10 @@ from .shi_basis import Derivation, basis
 
 _F1 = Fraction(1)
 
-# the determinant fields of a route that could not establish the identity
-_DET_FAIL = {
-    "det_matches_corollary": False,
-    "full_det_consistent": False,
-    "det_constant": None,
-    "det_initial": None,
-    "det_leading_coefficient": None,
-    "det_data": None,
-}
+# Each determinant route returns (det_matches_corollary, full_det_consistent,
+# det_constant, det_data); this is the record of a route that could not
+# establish the identity.
+_NO_DET = (False, False, None, None)
 
 
 def double_factorial(n: int) -> int:
@@ -273,18 +275,25 @@ def check_membership(theta: Derivation, arr: Arrangement) -> dict[str, bool]:
 # -- structural checks -------------------------------------------------------
 
 
+def _z_row_ok(derivs: Sequence[Derivation]) -> bool:
+    """theta_E(z) = z and every phi_j(z) = 0: the z row is (z, 0, ..., 0),
+    so Laplace expansion along it gives the full (l+1) x (l+1) determinant
+    as (-1)^l * z * det[phi_j(x_i)]."""
+    euler, phis = derivs[0], derivs[1:]
+    z = Poly.variable(euler.nvars, euler.nvars - 1)
+    return euler.coeff_z == z and all(phi.coeff_z.is_zero() for phi in phis)
+
+
 def _check_degrees(ell: int, derivs: Sequence[Derivation]) -> bool:
     nvars = ell + 1
     euler, phis = derivs[0], derivs[1:]
-    if euler.coeff_z != Poly.variable(nvars, nvars - 1):
+    if not _z_row_ok(derivs):
         return False
     for i in range(ell):
         if euler.coeff_x[i] != Poly.variable(nvars, i):
             return False
     target = 2 * (ell - 1)
     for phi in phis:
-        if not phi.coeff_z.is_zero():
-            return False
         for c in phi.coeff_x:
             if c and not c.is_homogeneous(target):
                 return False
@@ -357,7 +366,7 @@ def _reduced_rhs_factors(ell: int) -> list[dict[int, int]]:
     return [poly_to_int_dict(f)[0] for f in factors]
 
 
-def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
+def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> tuple:
     nvars = ell + 1
     euler, phis = derivs[0], derivs[1:]
     try:
@@ -365,7 +374,7 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
     except DivisionNotExactError:
         # this route needs (x_j - x_{j+1} - z) to divide column j, as it
         # does for the basis; without it the route establishes nothing
-        return dict(_DET_FAIL)
+        return _NO_DET
     reduced = det_minor_expansion(rows, impl)
     dd = double_factorial(2 * ell - 3)
     rhs = int_product(_reduced_rhs_factors(ell), impl)
@@ -388,28 +397,9 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> dict:
     z_times_reduced.fma(reduced, z_entry, 1)
     # The z row is checked here: without this, a basis with theta_E(z) != z
     # or some phi_j(z) != 0 would pass.
-    z_row_ok = euler.coeff_z == z and all(phi.coeff_z.is_zero() for phi in phis)
-    full_ok = z_row_ok and full_det.equal_scaled(1, z_times_reduced, 1)
-
-    det_initial = None
-    det_lc = None
-    if not reduced.is_zero():
-        mk = reduced.max_key()
-        init = list(_unpack(mk, nvars))
-        for f in factors:
-            fin = f.initial_monomial()
-            init = [a + b for a, b in zip(init, fin)]
-        det_initial = tuple(init)
-        det_lc = Fraction(reduced.get(mk), scale_prod)
-
-    return {
-        "det_matches_corollary": matches,
-        "full_det_consistent": full_ok,
-        "det_constant": Fraction(1, dd) if matches else None,
-        "det_initial": det_initial,
-        "det_leading_coefficient": det_lc,
-        "det_data": (reduced, scale_prod, factors, nvars),
-    }
+    full_ok = _z_row_ok(derivs) and full_det.equal_scaled(1, z_times_reduced, 1)
+    constant = Fraction(1, dd) if matches else None
+    return matches, full_ok, constant, (reduced, scale_prod, factors, nvars)
 
 
 # -- determinant: certify strategy --------------------------------------------
@@ -442,69 +432,55 @@ def _det_certify(
     arr: Arrangement,
     membership_ok: bool,
     degrees_ok: bool,
-) -> dict:
+) -> tuple:
     """Exact determinant identity check without expansion (see module doc).
 
     Premises: memberships and column-homogeneous degrees with the Euler
     column and z row structure (both passed in), and, verified here,
     pairwise distinct normalized forms and nonvanishing of Q at the chosen
-    point.
+    point.  The degrees premise includes the z row (see _z_row_ok), so the
+    full determinant is consistent once det is nonzero.
     """
-    nvars = ell + 1
-    euler, phis = derivs[0], derivs[1:]
+    phis = derivs[1:]
     if not (membership_ok and degrees_ok):
-        return dict(_DET_FAIL)
+        return _NO_DET
     if len({f.coeffs for f in arr.forms}) != len(arr.forms):
-        return dict(_DET_FAIL)
+        return _NO_DET
     # evaluation point: x_i = 2 * 3^(i+1) (pairwise distinct, even), z = 1
     # (odd), so no form x_s +- x_t or x_s +- x_t - z or z vanishes.
     point = [Fraction(2 * 3 ** (i + 1)) for i in range(ell)] + [_F1]
-    qz_val = _F1
-    for form in arr.forms[1:]:
-        v = form.poly().evaluate(point)
-        qz_val *= v
+    forms = [form.poly() for form in arr.forms[1:]]
+    qz_val = prod(fp.evaluate(point) for fp in forms)
     if qz_val == 0:
         raise AssertionError("evaluation point lies on the arrangement")
-    # each phi entry is evaluated once and shared by both determinants
     values = [[phis[j].coeff_x[i].evaluate(point) for j in range(ell)] for i in range(ell)]
     det_val = _exact_matrix_det(values)
     if det_val == 0:
-        return dict(_DET_FAIL)
+        return _NO_DET
     constant = det_val / qz_val
-    dd = double_factorial(2 * ell - 3)
-    matches = constant == Fraction(1, dd)
-    # full determinant: the z row is (z, 0, ..., 0), so det_full is
-    # (-1)^ell * z * det[phi_j(x_i)]; check the same relation at the point.
-    full = [[euler.coeff_x[i].evaluate(point)] + values[i] for i in range(ell)]
-    full.append([euler.coeff_z.evaluate(point)] + [phi.coeff_z.evaluate(point) for phi in phis])
-    full_val = _exact_matrix_det(full)
-    full_ok = full_val == Fraction(-1) ** ell * point[-1] * det_val
-    det_initial = None
-    det_lc = None
-    det_data = None
-    if matches:
-        # det = constant * prod(forms): the initial monomial of a product is
-        # the sum of its factors' initial monomials, and likewise for the
-        # leading coefficient's product.
-        forms = [form.poly() for form in arr.forms[1:]]
-        init = [0] * nvars
-        det_lc = constant
-        for fp in forms:
-            init = [a + b for a, b in zip(init, fp.initial_monomial())]
-            det_lc *= fp.leading_coefficient()
-        det_initial = tuple(init)
-        # key 0 is the constant monomial; nothing here limits nvars, since
-        # det_phi is only built on access
-        head = get_impl().from_dict({0: constant.numerator})
-        det_data = (head, constant.denominator, forms, nvars)
-    return {
-        "det_matches_corollary": matches,
-        "full_det_consistent": full_ok,
-        "det_constant": constant if matches else None,
-        "det_initial": det_initial,
-        "det_leading_coefficient": det_lc,
-        "det_data": det_data,
-    }
+    if constant != Fraction(1, double_factorial(2 * ell - 3)):
+        return False, True, None, None
+    # det = constant * prod(forms); key 0 is the constant monomial, and
+    # nothing here limits nvars, since det_phi is only built on access
+    head = get_impl().from_dict({0: constant.numerator})
+    return True, True, constant, (head, constant.denominator, forms, ell + 1)
+
+
+def _det_initial_and_lc(det_data: tuple | None) -> tuple:
+    """(det_initial, det_leading_coefficient) of det = head * prod(factors)
+    / den: the initial monomial of a product is the sum of its factors'
+    initial monomials, its leading coefficient the product of theirs.  Both
+    are None without data or for a zero determinant."""
+    if det_data is None or det_data[0].is_zero():
+        return None, None
+    head, den, factors, nvars = det_data
+    key = head.max_key()
+    init = _unpack(key, nvars)
+    lc = Fraction(head.get(key), den)
+    for f in factors:
+        init = tuple(a + b for a, b in zip(init, f.initial_monomial()))
+        lc *= f.leading_coefficient()
+    return init, lc
 
 
 # -- top level ----------------------------------------------------------------
@@ -559,15 +535,11 @@ def saito_verify(
         det = _det_expand(ell, derivs, get_impl())
     else:
         det = _det_certify(ell, derivs, arr, membership_ok, degrees_ok)
+    matches, full_ok, constant, det_data = det
+    det_initial, det_lc = _det_initial_and_lc(det_data)
     timing["determinant"] = time.perf_counter() - t
     timing["total"] = time.perf_counter() - t0
 
-    saito_ok = (
-        membership_ok
-        and degrees_ok
-        and det["det_matches_corollary"]
-        and det["full_det_consistent"]
-    )
     return VerificationReport(
         ell=ell,
         method=method,
@@ -575,14 +547,14 @@ def saito_verify(
         membership_ok=membership_ok,
         degrees_ok=degrees_ok,
         initials_ok=initials_ok,
-        det_constant=det["det_constant"],
-        det_initial=det["det_initial"],
-        det_leading_coefficient=det["det_leading_coefficient"],
-        det_matches_corollary=det["det_matches_corollary"],
-        full_det_consistent=det["full_det_consistent"],
-        saito_ok=saito_ok,
+        det_constant=constant,
+        det_initial=det_initial,
+        det_leading_coefficient=det_lc,
+        det_matches_corollary=matches,
+        full_det_consistent=full_ok,
+        saito_ok=membership_ok and degrees_ok and matches and full_ok,
         timing=timing,
-        _det_data=det["det_data"],
+        _det_data=det_data,
     )
 
 

@@ -29,6 +29,15 @@ def test_rhs_poly_pinned():
     assert rhs_poly(1, 1) == UniPoly((0, -1, -1))
 
 
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_rhs_poly_times_the_divisor(q):
+    # (x+1) - (-x) = 2x + 1 times the quotient gives back the difference
+    xp1, mx = UniPoly((1, 1)), UniPoly((0, -1))
+    for p in range(41):
+        expected = (xp1**p - mx**p) * xp1**q * mx**q
+        assert rhs_poly(p, q) * UniPoly((1, 2)) == expected, p
+
+
 def test_rhs_poly_p_zero():
     assert rhs_poly(0, 2).is_zero()
 

@@ -213,7 +213,8 @@ def test_saito_verify_certify_agrees(ell):
     assert certify.saito_ok
     assert certify.det_constant == expand.det_constant
     assert certify.det_initial == expand.det_initial
-    assert certify.full_det_consistent
+    assert certify.det_leading_coefficient == expand.det_leading_coefficient
+    assert certify.full_det_consistent and expand.full_det_consistent
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
@@ -230,8 +231,7 @@ def test_certify_det_initial_from_forms(cached_basis, ell):
 
 def test_certify_det_initial_none_on_wrong_constant(cached_basis):
     # 2 * phi_1 still passes membership, but the constant doubles
-    derivs = cached_basis(3)
-    doubled = _with_phi(derivs, 1, [2 * c for c in derivs[1].coeff_x])
+    doubled = _column_mutants(cached_basis(3))["doubled phi_1"]
     report = saito_verify(3, method="certify", derivs=doubled)
     assert report.membership_ok and not report.det_matches_corollary
     assert report.det_initial is None
@@ -261,14 +261,27 @@ def test_full_det_rejects_wrong_z_row(cached_basis, method, mutant):
 
 
 def _column_mutants(derivs):
-    """Two bases whose every derivation passes membership but whose
-    determinant is wrong: phi_1 and phi_2 exchanged, and phi_2 replaced by
-    a copy of phi_1."""
+    """Broken bases that change whole columns.  Every derivation passes
+    membership in the first three, whose determinant is wrong: phi_1 and
+    phi_2 exchanged, phi_2 replaced by a copy of phi_1, and phi_1 doubled.
+    The last two fail membership: x1^4 added to phi_1(x1), and
+    theta_E(x1) = 2 x1."""
+    ell = derivs[0].ell
+    x1 = Poly.variable(ell + 1, 0)
+    euler, phi1 = derivs[0], derivs[1]
     swapped = list(derivs)
     swapped[1], swapped[2] = derivs[2], derivs[1]
     duplicated = list(derivs)
     duplicated[2] = derivs[1]
-    return {"swapped": swapped, "duplicated": duplicated}
+    euler_x1 = list(derivs)
+    euler_x1[0] = Derivation(ell, euler.name, (2 * x1,) + euler.coeff_x[1:], euler.coeff_z)
+    return {
+        "swapped": swapped,
+        "duplicated": duplicated,
+        "doubled phi_1": _with_phi(derivs, 1, [2 * c for c in phi1.coeff_x]),
+        "phi_1 + x1^4": _with_phi(derivs, 1, (phi1.coeff_x[0] + x1**4,) + phi1.coeff_x[1:]),
+        "theta_E(x1) = 2x1": euler_x1,
+    }
 
 
 @pytest.mark.parametrize("method", ["expand", "certify"])
@@ -284,14 +297,54 @@ def test_det_rejects_wrong_columns(cached_basis, method, mutant):
     assert not report.saito_ok
 
 
+_THIRD = Fraction(1, 3)
+# (det_matches_corollary, full_det_consistent, det_constant, det_initial,
+#  det_leading_coefficient, saito_ok) of each broken rank-3 basis.  The
+# routes differ on failing input: expand reports in(det) and lc(det)
+# whenever the forms (x_j - x_{j+1} - z) divide its columns, certify only
+# once the constant matches; and certify judges the full determinant only
+# where its own premises hold.
+_FAILING_DET_FIELDS = {
+    ("expand", "phi_1(z) = z^(2l-2)"): (True, False, _THIRD, (8, 4, 0, 0), _THIRD, False),
+    ("expand", "theta_E(z) = 2z"): (True, False, _THIRD, (8, 4, 0, 0), _THIRD, False),
+    ("expand", "swapped"): (False, False, None, None, None, False),
+    ("expand", "duplicated"): (False, False, None, None, None, False),
+    ("expand", "doubled phi_1"): (False, True, None, (8, 4, 0, 0), 2 * _THIRD, False),
+    ("expand", "phi_1 + x1^4"): (False, False, None, None, None, False),
+    ("expand", "theta_E(x1) = 2x1"): (True, True, _THIRD, (8, 4, 0, 0), _THIRD, False),
+    ("certify", "phi_1(z) = z^(2l-2)"): (False, False, None, None, None, False),
+    ("certify", "theta_E(z) = 2z"): (False, False, None, None, None, False),
+    ("certify", "swapped"): (False, True, None, None, None, False),
+    ("certify", "duplicated"): (False, False, None, None, None, False),
+    ("certify", "doubled phi_1"): (False, True, None, None, None, False),
+    ("certify", "phi_1 + x1^4"): (False, False, None, None, None, False),
+    ("certify", "theta_E(x1) = 2x1"): (False, False, None, None, None, False),
+}
+
+
+@pytest.mark.parametrize("method,mutant", list(_FAILING_DET_FIELDS))
+def test_failing_det_fields_are_pinned(cached_basis, method, mutant):
+    derivs = cached_basis(3)
+    derivs = {**_z_row_mutants(derivs), **_column_mutants(derivs)}[mutant]
+    r = saito_verify(3, method=method, derivs=derivs)
+    got = (
+        r.det_matches_corollary,
+        r.full_det_consistent,
+        r.det_constant,
+        r.det_initial,
+        r.det_leading_coefficient,
+        r.saito_ok,
+    )
+    assert got == _FAILING_DET_FIELDS[(method, mutant)]
+
+
 @pytest.mark.parametrize("method", ["expand", "certify"])
 def test_membership_failure_cannot_hide_behind_a_namesake(cached_basis, method):
     # phi_1 gains x1^4 in its first coefficient, then phi_2 is renamed
     # "phi_1": the report keeps one row per name, the verdict covers both
     derivs = cached_basis(3)
-    x1 = Poly.variable(4, 0)
     phi1, phi2 = derivs[1], derivs[2]
-    bad = _with_phi(derivs, 1, (phi1.coeff_x[0] + x1**4,) + phi1.coeff_x[1:])
+    bad = _column_mutants(derivs)["phi_1 + x1^4"]
     bad[2] = Derivation(phi2.ell, phi1.name, phi2.coeff_x, phi2.coeff_z)
     assert not all(check_membership(bad[1], shi_d_cone(3)).values())
     report = saito_verify(3, method=method, derivs=bad)
