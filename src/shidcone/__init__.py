@@ -13,16 +13,9 @@ from .exactpoly import (
     DivisionNotExactError,
     ExponentOverflowError,
     Poly,
-    Rational,
-    UniPoly,
     divides,
     elementary_symmetric,
     exact_div,
-    initial_monomial,
-    partial_derivative,
-    poly_add,
-    poly_mul,
-    substitute,
 )
 from .oracle import (
     GradedDimReport,
@@ -62,9 +55,7 @@ __all__ = [
     "GradedDimReport",
     "LinearForm",
     "Poly",
-    "Rational",
     "TermIndex",
-    "UniPoly",
     "VerificationReport",
     "antisymmetrize",
     "apply",
@@ -85,16 +76,11 @@ __all__ = [
     "exact_div",
     "expected_count",
     "expected_dim",
-    "initial_monomial",
     "lemma_identity_checks",
     "make_bernoulli",
     "minor_expansion_det",
-    "partial_derivative",
-    "poly_add",
-    "poly_mul",
     "rhs_poly",
     "saito_verify",
     "shi_d_cone",
-    "substitute",
     "__version__",
 ]

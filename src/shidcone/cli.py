@@ -2,8 +2,9 @@
 
 Subcommands: basis, bernoulli, verify, det, lemmas, oracle dims,
 oracle charpoly.  Exit status: 0 when the requested checks pass, 1 when a
-verification fails, 2 on usage errors, 3 on an internal error (any other
-exception, reported on stderr as ``internal error: <type>: <message>``).
+verification fails, 2 on usage errors (invalid arguments, or an ``--out``
+file that cannot be written), 3 on an internal error (any other exception,
+reported on stderr as ``internal error: <type>: <message>``).
 
 JSON output is canonical: stable field order, big integers rendered as
 decimal strings, monomials as exponent arrays; byte-identical across runs
@@ -59,10 +60,17 @@ def emit_json(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
+class OutputPathError(Exception):
+    """The --out file could not be written: a usage error, not a crash."""
+
+
 def _write(config: RunConfig, text: str) -> None:
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputPathError(f"cannot write {config.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -94,22 +102,19 @@ def _run_bernoulli(config: RunConfig) -> int:
         else:
             _write(config, f"B_{label}(x) = -1/x (rational function, flagged)\n")
         return 0
+    univariate = br.univariate.render(["x"])
     if config.format == "json":
         payload = {
             "p": br.p,
             "q": br.q,
             "is_negative_one_zero": False,
-            "univariate": br.univariate.render(),
+            "univariate": univariate,
             "homogenized": poly_terms_json(br.homogenized),
         }
         _write(config, emit_json(payload))
         return 0
     homog = br.homogenized.render(names=["x", "z"])
-    _write(
-        config,
-        f"B_{label}(x) = {br.univariate.render()}\n"
-        f"Bbar_{label}(x,z) = {homog}\n",
-    )
+    _write(config, f"B_{label}(x) = {univariate}\nBbar_{label}(x,z) = {homog}\n")
     return 0
 
 
@@ -239,7 +244,7 @@ def run(config: RunConfig) -> int:
         return USAGE_ERROR
     try:
         return handler(config)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OutputPathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:

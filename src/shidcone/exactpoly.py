@@ -2,8 +2,10 @@
 
 The ring is Q[x1, ..., x_{n-1}, z]: a fixed number of variables ``nvars``,
 where by convention the last variable is the homogenizing coordinate and is
-rendered as ``z``.  Coefficients are :class:`fractions.Fraction` (always
-reduced, exact); monomials are exponent tuples.
+rendered as ``z``; a one-variable ring (the Bernoulli relatives' B(x))
+passes its own name to ``render``.  Coefficients are
+:class:`fractions.Fraction` (always reduced, exact); monomials are exponent
+tuples.
 
 The one and only monomial order used anywhere in this package is pure
 lexicographic with x1 > x2 > ... > z.  Each monomial is packed into a single
@@ -34,7 +36,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-Rational = Fraction
 Monomial = tuple  # exponent tuple, one entry per variable
 
 FIELD_BITS = 8
@@ -115,127 +116,6 @@ def check_field_room(key_groups: Iterable[Iterable[int]]) -> None:
     for total in totals.values():
         if total > FIELD_MASK:
             raise ExponentOverflowError(f"an exponent can reach {total}, above {FIELD_MASK}")
-
-
-class UniPoly:
-    """Dense univariate polynomial over the rationals.
-
-    Coefficients are stored lowest degree first; the highest stored
-    coefficient is nonzero unless the polynomial is zero (empty tuple).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[object] = ()):
-        cs = [to_rational(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [_F0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly((1,))
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __call__(self, x) -> Fraction:
-        """Exact evaluation at a rational point (Horner)."""
-        x = to_rational(x)
-        acc = _F0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose_negate(self) -> "UniPoly":
-        """P(-x)."""
-        return UniPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
-    def render(self, name: str = "x") -> str:
-        """Canonical text: descending powers, 'num/den' coefficients."""
-        if not self.coeffs:
-            return "0"
-        pieces: list[str] = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            mag = abs(c)
-            if e == 0:
-                body = _render_rational(mag)
-            elif e == 1:
-                body = name if mag == 1 else f"{_render_rational(mag)}*{name}"
-            else:
-                body = f"{name}^{e}" if mag == 1 else f"{_render_rational(mag)}*{name}^{e}"
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.render()})"
 
 
 def default_names(nvars: int) -> list[str]:
@@ -326,9 +206,6 @@ class Poly:
         """Yield (monomial, coefficient) pairs in descending pure-lex order."""
         for key in sorted(self._terms, reverse=True):
             yield _unpack(key, self.nvars), self._terms[key]
-
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._terms.get(_pack(tuple(exps)), _F0)
 
     def total_degree(self) -> int:
         """Maximal total degree of a term; -1 for the zero polynomial."""
@@ -560,30 +437,7 @@ def _render_rational(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-# -- module-level operations (the public algebra API) ----------------------
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    """Termwise sum with zero terms dropped."""
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Distributive product in canonical form."""
-    return a * b
-
-
-def initial_monomial(f: Poly) -> Monomial:
-    """The lex-greatest monomial of a nonzero polynomial."""
-    return f.initial_monomial()
-
-
-def partial_derivative(f: Poly, var: int) -> Poly:
-    return f.partial_derivative(var)
-
-
-def substitute(f: Poly, var: int, g: Poly) -> Poly:
-    return f.substitute(var, g)
+# -- module-level operations ----------------------------------------------
 
 
 def clear_denominators(polys: Sequence[Poly]) -> tuple[list[dict[int, int]], int]:

@@ -180,6 +180,10 @@ def derivation_dim(ell: int, d: int) -> int:
 
 
 def graded_dims(ell: int, max_degree: int) -> list[GradedDimReport]:
+    """One report per degree 0..max_degree; an empty range is refused, so
+    no invalid input passes as an empty list of checks."""
+    if ell < 2 or max_degree < 0:
+        raise ValueError("require ell >= 2 and max_degree >= 0")
     return [
         GradedDimReport(ell, d, derivation_dim(ell, d), expected_dim(ell, d))
         for d in range(max_degree + 1)

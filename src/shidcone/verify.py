@@ -107,7 +107,12 @@ def double_factorial(n: int) -> int:
 class VerificationReport:
     """Outcome of saito_verify; saito_ok is True only if every membership
     divisibility holds and the full determinant is a nonzero constant
-    multiple of the defining polynomial."""
+    multiple of the defining polynomial.
+
+    On a failing run ``full_det_consistent`` tells where a route stopped,
+    not a fact about the full determinant: at rank 3 with phi_1 and phi_2
+    swapped (full determinant -z * det) ``expand`` reports False and
+    ``certify`` True (``test_failing_det_fields_are_pinned``)."""
 
     ell: int
     method: str

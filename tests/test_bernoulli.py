@@ -3,39 +3,42 @@ from fractions import Fraction
 import pytest
 
 from shidcone.bernoulli import (
-    UniPoly,
     antisymmetrize,
     discrete_antiderivative,
     make_bernoulli,
     rhs_poly,
 )
+from shidcone.exactpoly import Poly
+
+X = Poly.variable(1, 0)
 
 
-def shift_by_one(p: UniPoly) -> UniPoly:
+def uni(*coeffs) -> Poly:
+    """The polynomial in x with the given coefficients, lowest degree first."""
+    return Poly.from_terms(1, {(e,): c for e, c in enumerate(coeffs)})
+
+
+def shift_by_one(p: Poly) -> Poly:
     """p(x + 1), via binomial expansion."""
-    xp1 = UniPoly((1, 1))
-    out = UniPoly.zero()
-    power = UniPoly((1,))
-    for c in p.coeffs:
-        if c:
-            out = out + power * c
-        power = power * xp1
+    out = Poly.zero(1)
+    for (e,), c in p.terms():
+        out = out + (X + 1) ** e * c
     return out
 
 
 def test_rhs_poly_pinned():
-    assert rhs_poly(1, 0) == UniPoly((1,))
-    assert rhs_poly(3, 0) == UniPoly((1, 1, 1))
-    assert rhs_poly(1, 1) == UniPoly((0, -1, -1))
+    assert rhs_poly(1, 0) == uni(1)
+    assert rhs_poly(3, 0) == uni(1, 1, 1)
+    assert rhs_poly(1, 1) == uni(0, -1, -1)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2, 3])
 def test_rhs_poly_times_the_divisor(q):
     # (x+1) - (-x) = 2x + 1 times the quotient gives back the difference
-    xp1, mx = UniPoly((1, 1)), UniPoly((0, -1))
+    xp1, mx = X + 1, -X
     for p in range(41):
         expected = (xp1**p - mx**p) * xp1**q * mx**q
-        assert rhs_poly(p, q) * UniPoly((1, 2)) == expected, p
+        assert rhs_poly(p, q) * uni(1, 2) == expected, p
 
 
 def test_rhs_poly_p_zero():
@@ -44,8 +47,8 @@ def test_rhs_poly_p_zero():
 
 def test_rhs_poly_negative_p_pole_cancels():
     # (-1)^q x^(q-1) (x+1)^(q-1)
-    assert rhs_poly(-1, 1) == UniPoly((-1,))
-    assert rhs_poly(-1, 2) == UniPoly((0, 1, 1))
+    assert rhs_poly(-1, 1) == uni(-1)
+    assert rhs_poly(-1, 2) == uni(0, 1, 1)
 
 
 def test_rhs_poly_invalid():
@@ -56,29 +59,28 @@ def test_rhs_poly_invalid():
 
 
 def test_discrete_antiderivative_constant():
-    assert discrete_antiderivative(UniPoly((1,))) == UniPoly((0, 1))
+    assert discrete_antiderivative(uni(1)) == uni(0, 1)
 
 
 def test_discrete_antiderivative_quadratic():
-    p = discrete_antiderivative(UniPoly((1, 1, 1)))
-    assert p == UniPoly((0, Fraction(2, 3), 0, Fraction(1, 3)))
-    assert shift_by_one(p) - p == UniPoly((1, 1, 1))
+    p = discrete_antiderivative(uni(1, 1, 1))
+    assert p == uni(0, Fraction(2, 3), 0, Fraction(1, 3))
+    assert shift_by_one(p) - p == uni(1, 1, 1)
 
 
 def test_discrete_antiderivative_zero():
-    assert discrete_antiderivative(UniPoly.zero()).is_zero()
+    assert discrete_antiderivative(Poly.zero(1)).is_zero()
 
 
 def test_antisymmetrize_identity_on_odd():
-    x = UniPoly((0, 1))
-    assert antisymmetrize(x) == x
-    b30 = UniPoly((0, Fraction(2, 3), 0, Fraction(1, 3)))
+    assert antisymmetrize(X) == X
+    b30 = uni(0, Fraction(2, 3), 0, Fraction(1, 3))
     assert antisymmetrize(b30) == b30
 
 
 def test_antisymmetrize_rejects_invalid():
     with pytest.raises(ValueError):
-        antisymmetrize(UniPoly((0, 1, 1)))  # x^2 + x: F(x) = 2x^2
+        antisymmetrize(uni(0, 1, 1))  # x^2 + x: F(x) = 2x^2
 
 
 def test_make_bernoulli_negative_one_zero_flag():
@@ -95,15 +97,15 @@ def test_make_bernoulli_zero_for_p_zero():
 
 
 def test_make_bernoulli_pinned_values():
-    assert make_bernoulli(1, 0).univariate == UniPoly((0, 1))
+    assert make_bernoulli(1, 0).univariate == uni(0, 1)
     b20 = make_bernoulli(2, 0)
-    assert b20.univariate == UniPoly((0, 1))
+    assert b20.univariate == uni(0, 1)
     assert b20.homogenized.render(["x", "z"]) == "x*z"
-    assert make_bernoulli(-1, 1).univariate == UniPoly((0, -1))
+    assert make_bernoulli(-1, 1).univariate == uni(0, -1)
     b30 = make_bernoulli(3, 0)
-    assert b30.univariate == UniPoly((0, Fraction(2, 3), 0, Fraction(1, 3)))
+    assert b30.univariate == uni(0, Fraction(2, 3), 0, Fraction(1, 3))
     b11 = make_bernoulli(1, 1)
-    assert b11.univariate == UniPoly((0, Fraction(1, 3), 0, Fraction(-1, 3)))
+    assert b11.univariate == uni(0, Fraction(1, 3), 0, Fraction(-1, 3))
     assert b11.homogenized.render(["x", "z"]) == "-1/3*x^3 + 1/3*x*z^2"
 
 
@@ -122,7 +124,7 @@ def test_functional_equation_and_oddness(p, q):
     br = make_bernoulli(p, q)
     b = br.univariate
     assert shift_by_one(b) - b == rhs_poly(p, q)
-    assert b.compose_negate() == -b
+    assert b.substitute(0, -X) == -b
     # homogenization: homogeneous of degree p + 2q, or zero when p = 0
     if p == 0:
         assert br.homogenized.is_zero()
@@ -133,7 +135,7 @@ def test_functional_equation_and_oddness(p, q):
 @pytest.mark.parametrize("p", [1, 3, 5, 7, 9])
 def test_leading_coefficient_odd_p(p):
     b = make_bernoulli(p, 0).univariate
-    assert b.degree() == p
+    assert b.total_degree() == p
     assert b.leading_coefficient() == Fraction(1, p)
 
 
@@ -144,7 +146,7 @@ def test_memoized_and_idempotent():
     assert antisymmetrize(a.univariate) == a.univariate
 
 
-def test_unipoly_render():
-    assert UniPoly((0, Fraction(2, 3), 0, Fraction(1, 3))).render() == "1/3*x^3 + 2/3*x"
-    assert UniPoly.zero().render() == "0"
-    assert UniPoly((0, -1)).render() == "-x"
+def test_univariate_render():
+    assert uni(0, Fraction(2, 3), 0, Fraction(1, 3)).render(["x"]) == "1/3*x^3 + 2/3*x"
+    assert Poly.zero(1).render(["x"]) == "0"
+    assert uni(0, -1).render(["x"]) == "-x"

@@ -67,6 +67,25 @@ def test_bernoulli_flagged_case(capsys):
     assert "-1/x" in out
 
 
+# sha256 of `shidcone bernoulli --p P --q Q --format json` followed by the
+# text output, concatenated over -1 <= P <= 12 and 0 <= Q <= 4 in that
+# order; (-1, 0) is the flagged -1/x case.
+_BERNOULLI_SHA256 = "0b3c0e65d46ee41661283f1bc0b4392adb826b1e7308edb681ac9aa922f0ec70"
+
+
+def test_bernoulli_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for p in range(-1, 13):
+        for q in range(5):
+            for fmt in ("json", "text"):
+                status, out, _ = invoke(
+                    capsys, "bernoulli", "--p", str(p), "--q", str(q), "--format", fmt
+                )
+                assert status == 0
+                digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == _BERNOULLI_SHA256
+
+
 def test_bernoulli_invalid_usage(capsys):
     status, _, _ = invoke(capsys, "bernoulli", "--p", "-3", "--q", "0")
     assert status == 2
@@ -136,6 +155,16 @@ def test_oracle_dims_command(capsys):
     assert "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("ell,max_degree", [("1", "-1"), ("2", "-1")])
+def test_oracle_dims_invalid_input_is_a_usage_error(capsys, ell, max_degree):
+    status, out, err = invoke(
+        capsys, "oracle", "dims", "--ell", ell, "--max-degree", max_degree, "--format", "json"
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_oracle_charpoly_command(capsys):
     status, out, _ = invoke(capsys, "oracle", "charpoly", "--ell", "2", "--q", "5")
     assert status == 0
@@ -155,6 +184,15 @@ def test_out_file(tmp_path, capsys):
     assert status == 0
     assert out == ""
     assert json.loads(path.read_text())["saito_ok"] is True
+
+
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    status, out, err = invoke(capsys, "basis", "--ell", "2", "--out", str(path))
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not path.exists()
 
 
 def test_missing_subcommand_exits_2():

@@ -57,6 +57,13 @@ def test_graded_dims_report():
     assert all(r.ok for r in reports)
 
 
+@pytest.mark.parametrize("ell,max_degree", [(1, -1), (2, -1), (1, 0)])
+def test_graded_dims_rejects_invalid_input(ell, max_degree):
+    # an empty list of reports would pass as "every degree ok"
+    with pytest.raises(ValueError):
+        graded_dims(ell, max_degree)
+
+
 def test_basis_spans_at_coxeter_degree():
     for ell in (2, 3):
         rank, expected = basis_span_rank_at_h(ell)
