@@ -3,8 +3,9 @@
 Subcommands: basis, bernoulli, verify, det, lemmas, oracle dims,
 oracle charpoly.  Exit status: 0 when the requested checks pass, 1 when a
 verification fails, 2 on usage errors (invalid arguments, or an ``--out``
-file that cannot be written), 3 on an internal error (any other exception,
-reported on stderr as ``internal error: <type>: <message>``).
+file that cannot be written, which is found before the command runs), 3 on
+an internal error (any other exception, reported on stderr as
+``internal error: <type>: <message>``).
 
 JSON output is canonical: stable field order, big integers rendered as
 decimal strings, monomials as exponent arrays; byte-identical across runs
@@ -64,10 +65,10 @@ class OutputPathError(Exception):
     """The --out file could not be written: a usage error, not a crash."""
 
 
-def _write(config: RunConfig, text: str) -> None:
+def _write(config: RunConfig, text: str, mode: str = "w") -> None:
     if config.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(config.out, mode, encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise OutputPathError(f"cannot write {config.out}: {exc.strerror or exc}") from exc
@@ -243,6 +244,11 @@ def run(config: RunConfig) -> int:
         print(f"unknown command: {config.command}", file=sys.stderr)
         return USAGE_ERROR
     try:
+        if config.out:
+            # appending nothing fails on a path that cannot be written, as
+            # a shell redirection does, before any work; it creates a
+            # missing file and leaves an existing one as it is
+            _write(config, "", mode="a")
         return handler(config)
     except (ValueError, IndexError, OutputPathError) as exc:
         print(f"error: {exc}", file=sys.stderr)

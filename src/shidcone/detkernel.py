@@ -21,6 +21,8 @@ interchangeable implementations provide the kernel polynomial
 ``equal_scaled``, ``max_key``, ``get``):
 
   * ``DictPoly`` — pure Python, dict[int, int]; any number of variables.
+                   ``shi_basis`` sums each phi coefficient and ``verify``
+                   each hyperplane restriction with its ``fma``.
   * ``IntPoly``  — open-addressing hash with 128-bit accumulators in the C
                    file ``_detkernel.c``, called through ctypes; its int64
                    keys must stay below 2^56 (``KEY_LIMIT``), so at most 7

@@ -352,14 +352,9 @@ class Poly:
         if not 0 <= var < self.nvars:
             raise IndexError(f"variable index {var} out of range")
         self._check_compat(g)
-        shift = FIELD_BITS * (self.nvars - 1 - var)
-        unit = 1 << shift
         # Group terms by the exponent of var, then apply Horner's rule in g
         # over the descending distinct exponents.
-        by_exp: dict[int, dict[int, Fraction]] = {}
-        for k, c in self._terms.items():
-            e = (k >> shift) & FIELD_MASK
-            by_exp.setdefault(e, {})[k - e * unit] = c
+        by_exp = split_by_variable(self._terms, var, self.nvars)
         result = Poly(self.nvars)
         prev: int | None = None
         for e in sorted(by_exp, reverse=True):
@@ -565,17 +560,37 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
 
 def divides(b: Poly, a: Poly) -> bool:
-    """True iff b divides a in the polynomial ring (divides(b, 0) is True)."""
-    a._check_compat(b)
-    return divides_integer_terms(b, clear_denominators([a])[0][0])
-
-
-def divides_integer_terms(b: Poly, terms: dict[int, int]) -> bool:
-    """True iff b divides the polynomial with integer coefficients ``terms``
-    (packed keys of b's ring, no zero values).  Stops at the first
-    remainder term and never builds the quotient."""
+    """True iff b divides a in the polynomial ring (divides(b, 0) is True).
+    Stops at the first remainder term and never builds the quotient."""
     divisor, _ = _primitive(b)
-    return _divide(dict(terms), divisor, b.nvars, exact=True, quotient=False) is not None
+    a._check_compat(b)
+    (work,), _ = clear_denominators([a])
+    return _divide(work, divisor, a.nvars, exact=True, quotient=False) is not None
+
+
+def split_by_variable(terms: Mapping[int, object], var: int, nvars: int) -> dict[int, dict]:
+    """Terms with packed keys of an nvars-variable ring, grouped by the
+    exponent e of x_var: {e: {key with x_var^e removed: coefficient}}."""
+    shift = FIELD_BITS * (nvars - 1 - var)
+    out: dict[int, dict] = {}
+    for k, c in terms.items():
+        e = (k >> shift) & FIELD_MASK
+        out.setdefault(e, {})[k - (e << shift)] = c
+    return out
+
+
+def divide_by_variable(terms: dict[int, int], var: int, nvars: int) -> dict[int, int]:
+    """terms / x_var for integer terms with packed keys of an nvars-variable
+    ring: each key loses one x_var.  Raises DivisionNotExactError if a key
+    has none."""
+    shift = FIELD_BITS * (nvars - 1 - var)
+    unit = 1 << shift
+    out: dict[int, int] = {}
+    for k, c in terms.items():
+        if not (k >> shift) & FIELD_MASK:
+            raise DivisionNotExactError(f"variable {var} does not divide every term")
+        out[k - unit] = c
+    return out
 
 
 def elementary_symmetric(nvars: int, gens: Sequence[Poly], n: int) -> Poly:

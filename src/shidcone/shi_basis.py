@@ -18,11 +18,12 @@ are empty, so the sigma/tau sum is the single term 1 and k = -1.
 
 The summand with (k, k0) = (-1, 0) stands for the rational function -1/x_i.
 It never becomes a Laurent object here: each coefficient accumulates the
-whole sum multiplied through by x_i, multiplies by P_j and is divided by
-x_i exactly at the end.  The prefactor comes before the division because
-for phi_l at i = l the sum alone keeps its pole at x_l = 0; only P_l = -x_l
-cancels it.  A failed division would mean the formula was transcribed
-wrongly, so it aborts loudly.
+whole sum multiplied through by x_i, over the integers under the common
+denominator of its Bbar's, multiplies by P_j and is divided by x_i at the
+end, one exponent off each key.  The prefactor comes before the division
+because for phi_l at i = l the sum alone keeps its pole at x_l = 0; only
+P_l = -x_l cancels it.  A failed division would mean the formula was
+transcribed wrongly, so it aborts loudly.
 
 Together with the Euler field theta_E = z d/dz + sum_i x_i d/dx_i these
 l + 1 derivations are the basis that the verify module checks against
@@ -35,14 +36,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from math import lcm
 from typing import Iterator, Sequence
 
 from .bernoulli import make_bernoulli
+from .detkernel import DictPoly, int_dict_to_poly, poly_to_int_dict
 from .exactpoly import (
+    FIELD_MASK,
+    ExponentOverflowError,
     Poly,
+    _pack,
     default_names,
+    divide_by_variable,
     elementary_symmetric,
-    exact_div,
     remap_variables,
 )
 
@@ -122,21 +128,24 @@ def term_indices(j: int, ell: int) -> Iterator[TermIndex]:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_embedded(k: int, k0: int, var: int, nvars: int) -> Poly | None:
-    """Bbar_{k,k0}(x_var, z) inside the nvars-variable ring; None flags the
-    (-1, 0) case (the symbolic -1/x_var)."""
+def _x_bernoulli(k: int, k0: int, var: int, nvars: int) -> tuple[DictPoly, int]:
+    """x_var * Bbar_{k,k0}(x_var, z) inside the nvars-variable ring, as
+    integer terms and a denominator.  In the (-1, 0) case Bbar stands for
+    -1/x_var, so the product is the constant -1."""
     br = make_bernoulli(k, k0)
     if br.is_negative_one_zero:
-        return None
-    return remap_variables(br.homogenized, nvars, (var, nvars - 1))
+        return DictPoly({0: -1}), 1
+    emb = remap_variables(br.homogenized, nvars, (var, nvars - 1))
+    terms, den = poly_to_int_dict(Poly.variable(nvars, var) * emb)
+    return DictPoly(terms), den
 
 
 @lru_cache(maxsize=None)
 def _sigma_tau_table(
     J1: tuple[int, ...], J2: tuple[int, ...], nvars: int
-) -> dict[tuple[int, int], Poly]:
-    """(-1)^(n1+n2) * sigma_{n1}^{J1} * tau_{2 n2}^{J2} for all (n1, n2);
-    {(0, 0): 1} when J1 and J2 are empty (the j = l case)."""
+) -> dict[tuple[int, int], DictPoly]:
+    """(-1)^(n1+n2) * sigma_{n1}^{J1} * tau_{2 n2}^{J2} for all (n1, n2), as
+    integer terms; {(0, 0): 1} when J1 and J2 are empty (the j = l case)."""
     sigma = [
         elementary_symmetric(nvars, [Poly.variable(nvars, v) for v in J1], n1)
         for n1 in range(len(J1) + 1)
@@ -150,11 +159,11 @@ def _sigma_tau_table(
     table = {}
     for n1, s in enumerate(sigma):
         for n2, t in enumerate(tau):
-            table[(n1, n2)] = s * t * (Fraction(-1) ** (n1 + n2))
+            table[(n1, n2)] = DictPoly(poly_to_int_dict(s * t * (-1) ** (n1 + n2))[0])
     return table
 
 
-def _subset_weight(K1: Sequence[int], K2: Sequence[int], nvars: int) -> Poly:
+def _subset_weight(K1: Sequence[int], K2: Sequence[int], nvars: int) -> DictPoly:
     """(prod K1) * (prod K2)^2 * (-z)^|K1|, a single monomial."""
     exps = [0] * nvars
     for v in K1:
@@ -162,39 +171,47 @@ def _subset_weight(K1: Sequence[int], K2: Sequence[int], nvars: int) -> Poly:
     for v in K2:
         exps[v] = 2
     exps[-1] = len(K1)
-    return Poly.from_terms(nvars, {tuple(exps): (-1) ** len(K1)})
+    return DictPoly({_pack(exps): (-1) ** len(K1)})
 
 
 def _build_phi(j: int, ell: int) -> Derivation:
-    """phi_j for 1 <= j <= ell, from the one formula of the module doc."""
+    """phi_j for 1 <= j <= ell, from the one formula of the module doc.
+
+    Every coefficient is summed over the integers: the products go into one
+    integer term dict under the common denominator of the Bbar's, and one
+    Poly is built at the end.
+    """
     nvars = ell + 1
+    # each product below is homogeneous of degree at most 2l (x_i * inner
+    # sum * prefactor), and no exponent exceeds its term's total degree
+    if 2 * ell > FIELD_MASK:
+        raise ExponentOverflowError(f"rank {ell} needs exponents above {FIELD_MASK}")
     z = Poly.variable(nvars, nvars - 1)
     if j < ell:
         prefactor = Poly.variable(nvars, j - 1) - Poly.variable(nvars, j) - z
     else:
         prefactor = -Poly.variable(nvars, ell - 1)
+    prefactor = DictPoly(poly_to_int_dict(prefactor)[0])
     # the inner sum depends on the summand only through weight * sigma_tau
     # and (k, k0), so the summands sharing a Bbar_{k,k0} are added up once
-    groups: dict[tuple[int, int], Poly] = {}
+    groups: dict[tuple[int, int], DictPoly] = {}
     for t in term_indices(j, ell):
         st = _sigma_tau_table(t.J1, t.J2, nvars)[(t.n1, t.n2)]
-        summand = _subset_weight(t.K1, t.K2, nvars) * st
-        groups[(t.k, t.k0)] = groups.get((t.k, t.k0), Poly.zero(nvars)) + summand
+        groups.setdefault((t.k, t.k0), DictPoly()).fma(_subset_weight(t.K1, t.K2, nvars), st, 1)
     coeff_x = []
     for i in range(ell):
-        xi = Poly.variable(nvars, i)
-        # accumulate x_i * (inner sum); the (k, k0) = (-1, 0) summands carry
-        # the factor x_i * (-1/x_i) = -1
-        acc = Poly.zero(nvars)
-        for (k, k0), group in groups.items():
-            bbar = _bernoulli_embedded(k, k0, i, nvars)
-            if bbar is None:
-                acc = acc - group
-            elif bbar:
-                acc = acc + group * (bbar * xi)
+        # accumulate den * x_i * (inner sum)
+        xbbars = {kk: _x_bernoulli(*kk, i, nvars) for kk in groups}
+        den = lcm(*(d for _, d in xbbars.values()))
+        acc = DictPoly()
+        for kk, group in groups.items():
+            xbbar, d = xbbars[kk]
+            acc.fma(group, DictPoly({k: v * (den // d) for k, v in xbbar.d.items()}), 1)
         # the prefactor goes on before the division: for phi_l at i = l the
         # inner sum alone is not divisible by x_l
-        coeff_x.append(exact_div(acc * prefactor, xi))
+        out = DictPoly()
+        out.fma(acc, prefactor, 1)
+        coeff_x.append(int_dict_to_poly(divide_by_variable(out.d, i, nvars), den, nvars))
     return Derivation(
         ell=ell, name=f"phi_{j}", coeff_x=tuple(coeff_x), coeff_z=Poly.zero(nvars)
     )

@@ -3,13 +3,12 @@
 Checks performed by :func:`saito_verify`:
 
   * membership: every basis derivation theta and hyperplane form alpha
-    satisfy  alpha | theta(alpha).  This runs over the integers: theta's
-    coefficients are cleared to integers under one common denominator,
-    theta(alpha) = sum_i a_i theta(x_i) is an integer combination of them,
-    and the division by the primitive integer form alpha stops at the first
-    remainder term.  By Gauss's lemma a primitive integer divisor of an
-    integer polynomial leaves an integer quotient, so a step coefficient
-    that is not a multiple of the leading coefficient also ends it;
+    satisfy  alpha | theta(alpha).  Each form is alpha = x_s + beta with
+    x_s its lex-first variable and beta free of x_s, so alpha divides
+    theta(alpha) iff theta(alpha)(x_s := -beta) = 0: the restriction to the
+    hyperplane.  It runs over the integers, with theta's coefficients
+    cleared under one common denominator and each substituted straight into
+    one term dict per form, so no image is built and nothing is divided;
   * degrees: each nonzero phi_j(x_i) is homogeneous of degree 2(l-1),
     phi_j(z) = 0, and theta_E is the Euler field;
   * initial monomials: in(phi_i(x_i)) = x1^2 ... x_{i-1}^2 x_i^(2l-2i) with
@@ -45,7 +44,8 @@ Two exact strategies for the determinant identity:
     Laplace expansion along it gives (-1)^l * z * det[phi_j(x_i)].  Every
     premise is checked mechanically; the glue steps (Cramer, UFD,
     homogeneity of determinants) are classical.  Default for l >= 6; rank 6
-    verifies in about 1.1 s and rank 7 in about 5.5 s on a 2-vCPU VM.
+    verifies in about 0.5 s, rank 7 in about 2.3 s and rank 8 in about
+    9.4 s on a 2-vCPU VM.
 
 Both strategies hand back det[phi_j(x_i)] in one form, head * prod(factors)
 / den: the reduced determinant and the column forms under ``expand``, the
@@ -63,11 +63,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from typing import Sequence
 
 from .arrangement import Arrangement, shi_d_cone
 from .detkernel import (
+    DictPoly,
     clear_columns,
     det_minor_expansion,
     get_impl,
@@ -76,13 +78,15 @@ from .detkernel import (
     poly_to_int_dict,
 )
 from .exactpoly import (
+    FIELD_MASK,
     DivisionNotExactError,
+    ExponentOverflowError,
     Poly,
     _unpack,
     clear_denominators,
     divides,
-    divides_integer_terms,
     exact_div,
+    split_by_variable,
 )
 from .shi_basis import Derivation, basis
 
@@ -251,29 +255,67 @@ def minor_expansion_det(matrix: Sequence[Sequence[Poly]], fast: bool | None = No
 # -- membership --------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _restriction_powers(neg_b: tuple[int, ...], lead: int, degree: int, scale: int) -> list:
+    """The kernel polynomials scale * lead^(degree - e) * (-B)^e for
+    e = 0..degree, with -B given by its integer coefficient vector."""
+    nvars = len(neg_b)
+    b = Poly.linear_form(nvars, neg_b)
+    powers, power = [], Poly.one(nvars)
+    for e in range(degree + 1):
+        powers.append(DictPoly(poly_to_int_dict(power * (scale * lead ** (degree - e)))[0]))
+        power = power * b
+    return powers
+
+
 def check_membership(theta: Derivation, arr: Arrangement) -> dict[str, bool]:
     """For each hyperplane form alpha: does alpha divide theta(alpha)?
 
-    For alpha = sum_i a_i x_i, theta(alpha) = sum_i a_i theta(x_i).  The
-    coefficients theta(x_i) are cleared to integers under one common
-    denominator, each image is built as an integer combination of them, and
-    the division runs over the integers (a positive scale does not change
-    divisibility).  Failures are reported as entries, never raised.
+    With alpha = x_s + beta (x_s its lex-first variable), alpha divides
+    theta(alpha) = sum_i a_i theta(x_i) iff the restriction to its
+    hyperplane, theta(alpha)(x_s := -beta), is zero.  Scaled to integer
+    coefficients A, the form is L x_s + B with B free of x_s, and for f
+    free of x_s the restriction of A_i f x_s^e, times L^E, is
+    f * A_i L^(E - e) (-B)^e, where E bounds the total degree.  The
+    coefficients theta(x_i) are cleared to integers under one denominator
+    and split by their powers of x_s, and each part goes into one integer
+    sum per form by the kernel's ``fma`` (a nonzero scale does not change
+    whether the sum is zero).  No image is built and nothing is divided.
+    A form that does not divide is reported as an entry, never raised; a
+    coefficient of total degree above FIELD_MASK raises
+    ExponentOverflowError.
     """
     if arr.ell != theta.ell:
         raise ValueError("arrangement and derivation have different ranks")
-    columns, _ = clear_denominators(theta.coefficients())
+    polys = theta.coefficients()
+    # a term restricts to terms of its own total degree, so no exponent can
+    # pass the largest total degree of the coefficients
+    degree = max(0, *(p.total_degree() for p in polys))
+    if degree > FIELD_MASK:
+        raise ExponentOverflowError(f"a coefficient has total degree {degree} > {FIELD_MASK}")
+    columns, _ = clear_denominators(polys)
+    # the columns split by powers of x_s, for the forms led by x_s; the
+    # forms come grouped by their lead, so one split of each is kept
+    parts_lead, parts = None, {}
     out: dict[str, bool] = {}
     for form in arr.forms:
-        scale = lcm(*(a.denominator for a in form.coeffs))
-        image: dict[int, int] = {}
-        for column, a in zip(columns, form.coeffs):
-            if a:
-                a = int(a * scale)
-                for k, v in column.items():
-                    image[k] = image.get(k, 0) + a * v
-        image = {k: v for k, v in image.items() if v}
-        out[form.text()] = divides_integer_terms(form.poly(), image)
+        lead = lcm(*(c.denominator for c in form.coeffs))  # lead coefficient 1, scaled
+        ints = [int(c * lead) for c in form.coeffs]
+        s = next(i for i, a in enumerate(ints) if a)
+        neg_b = tuple(0 if i == s else -a for i, a in enumerate(ints))
+        if s != parts_lead:
+            parts_lead, parts = s, {}
+        acc = DictPoly()
+        for i, a in enumerate(ints):
+            if not a:
+                continue
+            if i not in parts:
+                split = split_by_variable(columns[i], s, theta.nvars)
+                parts[i] = {e: DictPoly(terms) for e, terms in split.items()}
+            powers = _restriction_powers(neg_b, lead, degree, abs(a))
+            for e, part in parts[i].items():
+                acc.fma(powers[e], part, 1 if a > 0 else -1)
+        out[form.text()] = acc.is_zero()
     return out
 
 

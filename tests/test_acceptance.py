@@ -187,3 +187,14 @@ def test_criterion_9_rank4_oracles():
     for ell, q in [(4, 11), (4, 13), (5, 11), (5, 13), (6, 13)]:
         ok = ok and charpoly_count(ell, q) == expected_count(ell, q)
     _record(9, "oracles at rank 4, point counts at ranks 4..6", ok, time.perf_counter() - t0, 60.0)
+
+
+def test_criterion_10_rank8_certify():
+    t0 = time.perf_counter()
+    ell = 8
+    rep = saito_verify(ell, method="certify")
+    memberships = [v for row in rep.membership.values() for v in row.values()]
+    ok = rep.saito_ok
+    ok = ok and rep.det_constant == Fraction(1, double_factorial(2 * ell - 3))
+    ok = ok and len(memberships) == (ell + 1) * (2 * ell * (ell - 1) + 1) and all(memberships)
+    _record(10, "saito_verify rank 8 (certify)", ok, time.perf_counter() - t0, 45.0)

@@ -195,6 +195,30 @@ def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_unwritable_out_file_is_refused_before_the_check(tmp_path, capsys, monkeypatch):
+    import shidcone.cli as cli_mod
+
+    def must_not_run(ell, method="auto"):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(cli_mod, "saito_verify", must_not_run)
+    path = tmp_path / "missing" / "x.json"
+    status, out, err = invoke(capsys, "verify", "--ell", "6", "--out", str(path))
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    path = tmp_path / "basis.json"
+    path.write_text("old content that must go\n")
+    argv = ["basis", "--ell", "3", "--format", "json"]
+    _, expected, _ = invoke(capsys, *argv)
+    status, out, _ = invoke(capsys, *argv, "--out", str(path))
+    assert status == 0 and out == ""
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -215,12 +239,14 @@ def test_run_unknown_command(capsys):
 
 
 # sha256 of `shidcone basis --ell L --format json`.  Only rank 2 has golden
-# coefficients, so these pin every coefficient at ranks 3 to 5: a change
+# coefficients, so these pin every coefficient at ranks 3 to 7: a change
 # that still passes Saito's criterion would otherwise go unnoticed.
 _BASIS_JSON_SHA256 = {
     3: "2077c3e2d2d63dd87373ccee9fbcce23788da9b4259d038d54833e8f1ed289b1",
     4: "b5a2830a569f41d5cecce12780b83f463ef4d7be3b946c4cff87b7264e13ee18",
     5: "319086df0acd611e946d48c3e53133cecc10b59457d805c36c0e64d04f133e66",
+    6: "199d090aba234b236c28a41cef98191ee78fedab823f67973a2f06e838db1daf",
+    7: "b68914021320cea785a4805a6e2241070f39dbc54bb65425a1c6da09034b9682",
 }
 
 

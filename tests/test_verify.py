@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from shidcone import detkernel
-from shidcone.arrangement import defining_poly, shi_d_cone
-from shidcone.exactpoly import Poly, divides, exact_div
+from shidcone.arrangement import Arrangement, LinearForm, defining_poly, shi_d_cone
+from shidcone.exactpoly import ExponentOverflowError, Poly, divides, exact_div
 from shidcone.shi_basis import Derivation, apply, basis
 from shidcone.verify import (
     VerificationReport,
@@ -103,6 +103,52 @@ def test_membership_matches_apply_then_divide(cached_basis, ell):
             assert all(verdicts)
         else:
             assert not all(verdicts), label
+
+
+def test_membership_matches_apply_then_divide_on_other_forms():
+    # forms the Shi cone never uses: z, one led by x2, and one whose other
+    # coefficients are fractions, so the restriction runs scaled by a lead 2
+    n = 4
+    forms = (
+        LinearForm((0, 0, 0, 1)),
+        LinearForm((0, 1, Fraction(2, 3), -1)),
+        LinearForm((1, Fraction(-1, 2), 0, -3)),
+    )
+    arr = Arrangement(ell=3, forms=forms, h=4)
+    x = [Poly.variable(n, i) for i in range(n)]
+    q = x[0] * x[1] ** 2 * Fraction(1, 5) - x[2] ** 3
+    for f in forms:
+        q = q * f.poly()
+    passing = Derivation(3, "q", (q, q * x[1], q * Fraction(-7, 2)), q * x[3])
+    failing = Derivation(3, "f", (x[0] ** 2, x[1] * x[3], x[2] ** 2 * Fraction(1, 3)), x[0] * x[1])
+    for d in (passing, failing):
+        got = check_membership(d, arr)
+        assert got == {f.text(): divides(f.poly(), apply(d, f.poly())) for f in forms}
+    assert all(check_membership(passing, arr).values())
+    assert not any(check_membership(failing, arr).values())
+
+
+def test_membership_raises_on_a_degree_past_the_exponent_field():
+    # x1^200 x2^100 restricted to x1 + x2 = 0 would give x2^300, which
+    # would carry out of its 8-bit field: an error, never a verdict
+    x1, x2, z = (Poly.variable(3, i) for i in range(3))
+    big = Derivation(2, "big", (x1**200 * x2**100, Poly.zero(3)), Poly.zero(3))
+    with pytest.raises(ExponentOverflowError, match="total degree 300"):
+        check_membership(big, shi_d_cone(2))
+
+
+def test_basis_and_membership_divide_nothing(monkeypatch):
+    # phi coefficients are summed over the integers and membership restricts;
+    # neither reaches the polynomial division loop
+    from shidcone import exactpoly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("division called")
+
+    monkeypatch.setattr(exactpoly, "_divide", refuse)
+    derivs = basis(4)
+    arr = shi_d_cone(4)
+    assert all(all(check_membership(d, arr).values()) for d in derivs)
 
 
 def test_coefficient_matrix_layout(cached_basis):
