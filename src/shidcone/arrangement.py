@@ -11,8 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exactpoly import Poly, product
+from .exactpoly import (
+    FIELD_MASK,
+    ExponentOverflowError,
+    Poly,
+    clear_denominators,
+    fma_terms,
+    integer_coeffs,
+    product,
+)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -41,6 +50,40 @@ class LinearForm:
 
     def text(self) -> str:
         return self.poly().render()
+
+
+@lru_cache(maxsize=None)
+def restriction_table(
+    form: LinearForm, degree: int
+) -> tuple[int, tuple[int, ...], tuple[dict[int, int], ...]]:
+    """The restriction of polynomials of total degree at most ``degree`` to
+    the hyperplane of ``form``, over the integers.
+
+    Cleared to integer coefficients A, the form is L x_s + B with x_s its
+    lex-first variable, L = A_s and B free of x_s, so the restriction sends
+    x_s to -B/L.  Returns s, A and, for e = 0..degree, the integer terms
+    (on exactpoly's packed keys) of L^(degree - e) (-B)^e, which is x_s^e
+    restricted and scaled by L^degree: summing each x_s^e part of f times
+    its entry gives L^degree * f(x_s := -B/L).  The entries are shared by
+    every caller and must not be changed.  A degree above FIELD_MASK raises
+    ExponentOverflowError, since (-B)^degree would carry out of its fields.
+    """
+    if degree > FIELD_MASK:
+        raise ExponentOverflowError(f"total degree {degree} > {FIELD_MASK}")
+    ints = tuple(integer_coeffs(form.coeffs))
+    s = next(i for i, a in enumerate(ints) if a)
+    lead = ints[s]
+    b = Poly.linear_form(form.nvars, [0 if i == s else -a for i, a in enumerate(ints)])
+    (neg_b,), _ = clear_denominators([b])
+    powers = [{0: 1}]
+    for _ in range(degree):
+        nxt: dict[int, int] = {}
+        fma_terms(nxt, powers[-1], neg_b)
+        powers.append(nxt)
+    table = tuple(
+        {k: c * lead ** (degree - e) for k, c in p.items()} for e, p in enumerate(powers)
+    )
+    return s, ints, table
 
 
 @dataclass(frozen=True)
@@ -87,19 +130,4 @@ def defining_poly(arr: Arrangement) -> Poly:
     """Q: the product of all hyperplane forms, homogeneous of degree
     2*ell*(ell-1) + 1."""
     return product(arr.nvars, (f.poly() for f in arr.forms))
-
-
-def forms_json(arr: Arrangement) -> list[dict]:
-    """JSON-ready list of forms as coefficient arrays (num/den strings)
-    alongside the canonical text rendering."""
-    return [
-        {
-            "coeffs": [
-                {"num": str(c.numerator), "den": str(c.denominator)}
-                for c in f.coeffs
-            ],
-            "text": f.text(),
-        }
-        for f in arr.forms
-    ]
 

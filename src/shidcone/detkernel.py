@@ -11,8 +11,7 @@ Keys pass between ``Poly`` and the kernel unchanged:
   * ``clear_columns``: the columns of a ``Poly`` matrix to kernel rows, each
     column under its own denominator, and the product of the denominators;
   * ``det_minor_expansion``: the determinant of kernel rows;
-  * ``int_product``: the product of a chain of factors, the only product
-    loop.
+  * ``int_product``: the product of a chain of factors.
 
 The last two raise ExponentOverflowError where a packed exponent could
 carry into the next field (``exactpoly.check_field_room``).  Two
@@ -21,8 +20,9 @@ interchangeable implementations provide the kernel polynomial
 ``equal_scaled``, ``max_key``, ``get``):
 
   * ``DictPoly`` — pure Python, dict[int, int]; any number of variables.
-                   ``shi_basis`` sums each phi coefficient and ``verify``
-                   each hyperplane restriction with its ``fma``.
+                   Its ``fma`` is ``exactpoly.fma_terms``, the package's
+                   one loop over term pairs; ``shi_basis`` sums each phi
+                   coefficient with it.
   * ``IntPoly``  — open-addressing hash with 128-bit accumulators in the C
                    file ``_detkernel.c``, called through ctypes; its int64
                    keys must stay below 2^56 (``KEY_LIMIT``), so at most 7
@@ -66,7 +66,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Protocol, Sequence
 
-from .exactpoly import Poly, check_field_room, clear_denominators
+from .exactpoly import Poly, check_field_room, clear_denominators, fma_terms
 
 
 class IntPolyLike(Protocol):
@@ -111,22 +111,7 @@ class DictPoly:
             raise ValueError("sign must be +1 or -1")
         if a is self or b is self:
             raise ValueError("fma operands must not alias the accumulator")
-        out = self.d
-        get = out.get
-        for ka, va in a.d.items():
-            if sign < 0:
-                va = -va
-            for kb, vb in b.d.items():
-                k = ka + kb
-                cur = get(k)
-                if cur is None:
-                    out[k] = va * vb
-                else:
-                    cur += va * vb
-                    if cur:
-                        out[k] = cur
-                    else:
-                        del out[k]
+        fma_terms(self.d, a.d, b.d, sign)
 
     def equal_scaled(self, ca: int, other: "DictPoly", cb: int) -> bool:
         a, b = self.d, other.d

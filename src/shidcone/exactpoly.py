@@ -20,11 +20,19 @@ is at most 255 (``FIELD_MASK``); the compiled kernel's keys are int64 below
 the room first (``check_field_room``), division checks each quotient term,
 and both raise ExponentOverflowError instead.
 
-Division runs over the integers: the dividend's denominators are cleared
-once, the divisor is scaled to a primitive integer polynomial, and one heap
-division loop (in the style of Monagan and Pearce, "Sparse polynomial
-division using a heap", J. Symb. Comp. 46, 2011) works on ``int``
-coefficients; results are converted back to ``Fraction`` once at the end.
+Products run over the integers: ``fma_terms`` is the package's one loop
+over term pairs, on packed keys and ``int`` coefficients.  ``Poly``
+products clear each operand's denominators, multiply the numerators there
+and divide each product term once by the product of the two denominators;
+the kernel's pure-Python ``fma`` and the hyperplane restrictions of
+``arrangement`` and ``verify`` call it too.
+
+Division runs over the integers as well: the dividend's denominators are
+cleared once, the divisor is scaled to a primitive integer polynomial, and
+one heap division loop (in the style of Monagan and Pearce, "Sparse
+polynomial division using a heap", J. Symb. Comp. 46, 2011) works on
+``int`` coefficients; results are converted back to ``Fraction`` once at
+the end.
 
 No floating point is used anywhere in this module.
 """
@@ -295,24 +303,13 @@ class Poly:
         degree = self.total_degree() + other.total_degree()
         if degree > FIELD_MASK:
             check_field_room((self._terms, other._terms))
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        out: dict[int, Fraction] = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                acc = get(k)
-                if acc is None:
-                    out[k] = ca * cb
-                else:
-                    acc = acc + ca * cb
-                    if acc:
-                        out[k] = acc
-                    else:
-                        del out[k]
-        result = Poly(self.nvars, out)
+        # multiply the integer numerators, divide each product term once
+        (a,), da = clear_denominators([self])
+        (b,), db = clear_denominators([other])
+        out: dict[int, int] = {}
+        fma_terms(out, a, b)
+        den = da * db
+        result = Poly(self.nvars, {k: Fraction(c, den) for k, c in out.items()})
         # Q[x] is a domain: the top-degree parts multiply to a nonzero part.
         result._maxdeg = degree
         return result
@@ -444,6 +441,40 @@ def clear_denominators(polys: Sequence[Poly]) -> tuple[list[dict[int, int]], int
             den = lcm(den, c.denominator)
     terms = [{k: c.numerator * (den // c.denominator) for k, c in f._terms.items()} for f in polys]
     return terms, den
+
+
+def integer_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
+    """The rational vector ``coeffs`` scaled by the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def fma_terms(
+    out: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], scale: int = 1
+) -> None:
+    """out += scale * a * b, for integer terms on packed keys, in place.
+
+    The package's one loop over term pairs: ``Poly`` products, the
+    pure-Python kernel's ``fma`` and the hyperplane restrictions all run
+    here.  ``a`` is the outer loop.  A sum that cancels is deleted, so
+    ``out`` stores no zero if neither operand does.  Keys are added
+    unchecked: callers keep every exponent within FIELD_MASK
+    (``check_field_room``), and ``out`` must be neither operand.
+    """
+    get = out.get
+    for ka, va in a.items():
+        va *= scale
+        for kb, vb in b.items():
+            k = ka + kb
+            cur = get(k)
+            if cur is None:
+                out[k] = va * vb
+            else:
+                cur += va * vb
+                if cur:
+                    out[k] = cur
+                else:
+                    del out[k]
 
 
 def _primitive(b: Poly) -> tuple[dict[int, int], Fraction]:

@@ -5,12 +5,14 @@ Two families of checks:
 * graded dimensions of the derivation module, computed as exact null-space
   dimensions of a linear system with rational coefficients, compared against
   the free-module prediction from exponents (1, h, ..., h) with h = 2l - 2.
-  The rank is found by elimination over the integers: every row is scaled by
-  a nonzero integer to clear its denominators (which changes neither its
-  span nor the rank), and rows are kept primitive, with their content
-  divided out, so that entries stay small.  No residue-class shortcut is
-  taken: a rank modulo p can fall below the rank over Q, so it would only
-  bound the dimension;
+  The equations restrict to each hyperplane by the table that membership
+  uses too (``arrangement.restriction_table``), so the dimensions never
+  read the basis.  The rank is found by elimination over the integers:
+  every row is scaled by a nonzero integer to clear its denominators
+  (which changes neither its span nor the rank), and rows are kept
+  primitive, with their content divided out, so that entries stay small.
+  No residue-class shortcut is taken: a rank modulo p can fall below the
+  rank over Q, so it would only bound the dimension;
 
 * point counts over small finite fields: the number of points of F_q^(l+1)
   avoiding every hyperplane must be (q-1) * (q-h)^l, consistent with the
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .arrangement import shi_d_cone
+from .arrangement import restriction_table, shi_d_cone
+from .exactpoly import _pack, integer_coeffs
 from .shi_basis import Derivation, basis
 
 POINT_ENUMERATION_CAP = 10**7
@@ -111,12 +114,6 @@ def _pivot_rows(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _integer_coeffs(coeffs: Sequence) -> list[int]:
-    """The rational vector ``coeffs`` scaled by the lcm of its denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs]
-
-
 def _membership_rows(ell: int, d: int) -> tuple[int, Iterator[dict[int, int]]]:
     """Linear system whose null space is the degree-d graded piece of the
     derivation module.
@@ -126,41 +123,27 @@ def _membership_rows(ell: int, d: int) -> tuple[int, Iterator[dict[int, int]]]:
     sum_v alpha_v * c_v must vanish modulo alpha, that is after the
     substitution x_s := -(sum over i != s of alpha_i x_i) / alpha_s for the
     lex-leading variable x_s of alpha; each coefficient of the substituted
-    polynomial is one linear equation.  The equations of a form are taken
-    for den * alpha, with den the lcm of alpha's denominators, and the
-    substituted polynomial is multiplied by (den * alpha_s)^d: nonzero
-    integer scalings that make the equations integer and leave their span
-    unchanged.
+    polynomial is one linear equation.  The substitution is
+    ``arrangement.restriction_table``: the equations of a form are taken for
+    its integer multiple A, and the substituted polynomial is multiplied by
+    A_s^d, nonzero integer scalings that make the equations integer and
+    leave their span unchanged.
     """
     nvars = ell + 1
     arr = shi_d_cone(ell)
     monos = list(monomials_of_degree(nvars, d))
     n_mono = len(monos)
     n_unknowns = nvars * n_mono
-    # monomials of degree <= d packed in base d + 1, so that adding keys
-    # multiplies monomials without carries
-    units = [(d + 1) ** (nvars - 1 - i) for i in range(nvars)]
-    keys = [sum(e * u for e, u in zip(m, units)) for m in monos]
 
     def rows() -> Iterator[dict[int, int]]:
         for form in arr.forms:
-            support = [(v, av) for v, av in enumerate(_integer_coeffs(form.coeffs)) if av]
-            s, lead = support[0]
-            # powers[k] = lead^d * x_s^k after the substitution, the integer
-            # polynomial lead^(d-k) * (-(sum over i != s of a_i x_i))^k
-            neg = {units[v]: -av for v, av in support[1:]}
-            powers = [{0: lead**d}]
-            for _ in range(d):
-                nxt: dict[int, int] = {}
-                for k1, c1 in powers[-1].items():
-                    for k2, c2 in neg.items():
-                        nxt[k1 + k2] = nxt.get(k1 + k2, 0) + c1 * c2
-                powers.append({k: c // lead for k, c in nxt.items() if c})  # exact
+            # table[k]: x_s^k after the substitution, times A_s^d
+            s, ints, table = restriction_table(form, d)
+            support = [(v, av) for v, av in enumerate(ints) if av]
             by_target: dict[int, dict[int, int]] = {}
             for j, m in enumerate(monos):
-                e = m[s]
-                rest = keys[j] - e * units[s]
-                for target, c in powers[e].items():
+                rest = _pack(m[:s] + (0,) + m[s + 1 :])
+                for target, c in table[m[s]].items():
                     row = by_target.setdefault(rest + target, {})
                     for v, av in support:
                         uid = v * n_mono + j
@@ -200,7 +183,7 @@ def _derivation_vector(
         for mono, c in poly.terms():
             uids.append(v * n_mono + monos_index[tuple(map(add, mono, shift))])
             values.append(c)
-    return dict(zip(uids, _integer_coeffs(values)))
+    return dict(zip(uids, integer_coeffs(values)))
 
 
 def basis_span_rank_at_h(ell: int) -> tuple[int, int]:

@@ -128,16 +128,15 @@ def term_indices(j: int, ell: int) -> Iterator[TermIndex]:
 
 
 @lru_cache(maxsize=None)
-def _x_bernoulli(k: int, k0: int, var: int, nvars: int) -> tuple[DictPoly, int]:
-    """x_var * Bbar_{k,k0}(x_var, z) inside the nvars-variable ring, as
+def _x_bernoulli(k: int, k0: int, var: int, zvar: int, nvars: int) -> tuple[dict[int, int], int]:
+    """x_var * Bbar_{k,k0}(x_var, x_zvar) inside the nvars-variable ring, as
     integer terms and a denominator.  In the (-1, 0) case Bbar stands for
     -1/x_var, so the product is the constant -1."""
     br = make_bernoulli(k, k0)
     if br.is_negative_one_zero:
-        return DictPoly({0: -1}), 1
-    emb = remap_variables(br.homogenized, nvars, (var, nvars - 1))
-    terms, den = poly_to_int_dict(Poly.variable(nvars, var) * emb)
-    return DictPoly(terms), den
+        return {0: -1}, 1
+    emb = remap_variables(br.homogenized, nvars, (var, zvar))
+    return poly_to_int_dict(Poly.variable(nvars, var) * emb)
 
 
 @lru_cache(maxsize=None)
@@ -201,12 +200,12 @@ def _build_phi(j: int, ell: int) -> Derivation:
     coeff_x = []
     for i in range(ell):
         # accumulate den * x_i * (inner sum)
-        xbbars = {kk: _x_bernoulli(*kk, i, nvars) for kk in groups}
+        xbbars = {kk: _x_bernoulli(*kk, i, nvars - 1, nvars) for kk in groups}
         den = lcm(*(d for _, d in xbbars.values()))
         acc = DictPoly()
         for kk, group in groups.items():
             xbbar, d = xbbars[kk]
-            acc.fma(group, DictPoly({k: v * (den // d) for k, v in xbbar.d.items()}), 1)
+            acc.fma(group, DictPoly({k: v * (den // d) for k, v in xbbar.items()}), 1)
         # the prefactor goes on before the division: for phi_l at i = l the
         # inner sum alone is not divisible by x_l
         out = DictPoly()

@@ -8,7 +8,8 @@ Checks performed by :func:`saito_verify`:
     theta(alpha) iff theta(alpha)(x_s := -beta) = 0: the restriction to the
     hyperplane.  It runs over the integers, with theta's coefficients
     cleared under one common denominator and each substituted straight into
-    one term dict per form, so no image is built and nothing is divided;
+    one term dict per form by the restriction table of ``arrangement``
+    (shared with the oracle), so no image is built and nothing is divided;
   * degrees: each nonzero phi_j(x_i) is homogeneous of degree 2(l-1),
     phi_j(z) = 0, and theta_E is the Euler field;
   * initial monomials: in(phi_i(x_i)) = x1^2 ... x_{i-1}^2 x_i^(2l-2i) with
@@ -39,13 +40,14 @@ Two exact strategies for the determinant identity:
     both are homogeneous of the same degree 2l(l-1) (degrees checked), so
     the quotient is a constant; it is pinned down exactly by one rational
     evaluation at a point where Q does not vanish.  Each phi entry is
-    evaluated once, in integer arithmetic.  The full determinant needs no
-    evaluation: the degrees premise includes the z row (z, 0, ..., 0), and
-    Laplace expansion along it gives (-1)^l * z * det[phi_j(x_i)].  Every
-    premise is checked mechanically; the glue steps (Cramer, UFD,
-    homogeneity of determinants) are classical.  Default for l >= 6; rank 6
-    verifies in about 0.5 s, rank 7 in about 2.3 s and rank 8 in about
-    9.4 s on a 2-vCPU VM.
+    evaluated once, in integer arithmetic, and ``bareiss_det`` takes the
+    determinant of the values as constant polynomials.  The full
+    determinant needs no evaluation: the degrees premise includes the z row
+    (z, 0, ..., 0), and Laplace expansion along it gives (-1)^l * z *
+    det[phi_j(x_i)].  Every premise is checked mechanically; the glue steps
+    (Cramer, UFD, homogeneity of determinants) are classical.  Default for
+    l >= 6; rank 6 verifies in about 0.5 s, rank 7 in about 2.3 s and
+    rank 8 in about 9.4 s on a 2-vCPU VM.
 
 Both strategies hand back det[phi_j(x_i)] in one form, head * prod(factors)
 / den: the reduced determinant and the column forms under ``expand``, the
@@ -63,13 +65,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
-from .arrangement import Arrangement, shi_d_cone
+from .arrangement import Arrangement, restriction_table, shi_d_cone
 from .detkernel import (
-    DictPoly,
     clear_columns,
     det_minor_expansion,
     get_impl,
@@ -78,17 +78,16 @@ from .detkernel import (
     poly_to_int_dict,
 )
 from .exactpoly import (
-    FIELD_MASK,
     DivisionNotExactError,
-    ExponentOverflowError,
     Poly,
     _unpack,
     clear_denominators,
     divides,
     exact_div,
+    fma_terms,
     split_by_variable,
 )
-from .shi_basis import Derivation, basis
+from .shi_basis import Derivation, _x_bernoulli, basis
 
 _F1 = Fraction(1)
 
@@ -255,35 +254,21 @@ def minor_expansion_det(matrix: Sequence[Sequence[Poly]], fast: bool | None = No
 # -- membership --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _restriction_powers(neg_b: tuple[int, ...], lead: int, degree: int, scale: int) -> list:
-    """The kernel polynomials scale * lead^(degree - e) * (-B)^e for
-    e = 0..degree, with -B given by its integer coefficient vector."""
-    nvars = len(neg_b)
-    b = Poly.linear_form(nvars, neg_b)
-    powers, power = [], Poly.one(nvars)
-    for e in range(degree + 1):
-        powers.append(DictPoly(poly_to_int_dict(power * (scale * lead ** (degree - e)))[0]))
-        power = power * b
-    return powers
-
-
 def check_membership(theta: Derivation, arr: Arrangement) -> dict[str, bool]:
     """For each hyperplane form alpha: does alpha divide theta(alpha)?
 
     With alpha = x_s + beta (x_s its lex-first variable), alpha divides
     theta(alpha) = sum_i a_i theta(x_i) iff the restriction to its
-    hyperplane, theta(alpha)(x_s := -beta), is zero.  Scaled to integer
-    coefficients A, the form is L x_s + B with B free of x_s, and for f
-    free of x_s the restriction of A_i f x_s^e, times L^E, is
-    f * A_i L^(E - e) (-B)^e, where E bounds the total degree.  The
-    coefficients theta(x_i) are cleared to integers under one denominator
-    and split by their powers of x_s, and each part goes into one integer
-    sum per form by the kernel's ``fma`` (a nonzero scale does not change
-    whether the sum is zero).  No image is built and nothing is divided.
-    A form that does not divide is reported as an entry, never raised; a
-    coefficient of total degree above FIELD_MASK raises
-    ExponentOverflowError.
+    hyperplane, theta(alpha)(x_s := -beta), is zero.  The coefficients
+    theta(x_i) are cleared to integers under one denominator and split by
+    their powers of x_s.  The part with x_s^e goes into one integer sum per
+    form times A_i L^(E - e) (-B)^e, the entry of
+    ``arrangement.restriction_table``: A are the form's integer
+    coefficients, L x_s + B the form itself and E the largest total degree,
+    so the sum is the restriction times a nonzero scale.  No image is built
+    and nothing is divided.  A form that does not divide is reported as an
+    entry, never raised; a coefficient of total degree above FIELD_MASK
+    raises ExponentOverflowError.
     """
     if arr.ell != theta.ell:
         raise ValueError("arrangement and derivation have different ranks")
@@ -291,31 +276,24 @@ def check_membership(theta: Derivation, arr: Arrangement) -> dict[str, bool]:
     # a term restricts to terms of its own total degree, so no exponent can
     # pass the largest total degree of the coefficients
     degree = max(0, *(p.total_degree() for p in polys))
-    if degree > FIELD_MASK:
-        raise ExponentOverflowError(f"a coefficient has total degree {degree} > {FIELD_MASK}")
     columns, _ = clear_denominators(polys)
     # the columns split by powers of x_s, for the forms led by x_s; the
     # forms come grouped by their lead, so one split of each is kept
     parts_lead, parts = None, {}
     out: dict[str, bool] = {}
     for form in arr.forms:
-        lead = lcm(*(c.denominator for c in form.coeffs))  # lead coefficient 1, scaled
-        ints = [int(c * lead) for c in form.coeffs]
-        s = next(i for i, a in enumerate(ints) if a)
-        neg_b = tuple(0 if i == s else -a for i, a in enumerate(ints))
+        s, ints, table = restriction_table(form, degree)
         if s != parts_lead:
             parts_lead, parts = s, {}
-        acc = DictPoly()
+        acc: dict[int, int] = {}
         for i, a in enumerate(ints):
             if not a:
                 continue
             if i not in parts:
-                split = split_by_variable(columns[i], s, theta.nvars)
-                parts[i] = {e: DictPoly(terms) for e, terms in split.items()}
-            powers = _restriction_powers(neg_b, lead, degree, abs(a))
+                parts[i] = split_by_variable(columns[i], s, theta.nvars)
             for e, part in parts[i].items():
-                acc.fma(powers[e], part, 1 if a > 0 else -1)
-        out[form.text()] = acc.is_zero()
+                fma_terms(acc, table[e], part, a)
+        out[form.text()] = not acc
     return out
 
 
@@ -452,27 +430,6 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> tuple:
 # -- determinant: certify strategy --------------------------------------------
 
 
-def _exact_matrix_det(m: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix (Gaussian elimination)."""
-    n = len(m)
-    m = [row[:] for row in m]
-    det = _F1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
-
-
 def _det_certify(
     ell: int,
     derivs: Sequence[Derivation],
@@ -500,11 +457,14 @@ def _det_certify(
     qz_val = prod(fp.evaluate(point) for fp in forms)
     if qz_val == 0:
         raise AssertionError("evaluation point lies on the arrangement")
-    values = [[phis[j].coeff_x[i].evaluate(point) for j in range(ell)] for i in range(ell)]
-    det_val = _exact_matrix_det(values)
-    if det_val == 0:
+    values = [
+        [Poly.constant(1, phis[j].coeff_x[i].evaluate(point)) for j in range(ell)]
+        for i in range(ell)
+    ]
+    det_val = bareiss_det(values)
+    if det_val.is_zero():
         return _NO_DET
-    constant = det_val / qz_val
+    constant = det_val.leading_coefficient() / qz_val
     if constant != Fraction(1, double_factorial(2 * ell - 3)):
         return False, True, None, None
     # det = constant * prod(forms); key 0 is the constant monomial, and
@@ -640,19 +600,6 @@ class LemmaReport:
         }
 
 
-def _x_bbar(k: int, k0: int, var: int, nvars: int) -> Poly:
-    """x_var * Bbar_{k,k0}(x_var, z) as a genuine polynomial (the (-1, 0)
-    case contributes the constant -1)."""
-    from .bernoulli import make_bernoulli
-    from .exactpoly import remap_variables
-
-    br = make_bernoulli(k, k0)
-    if br.is_negative_one_zero:
-        return Poly.constant(nvars, -1)
-    emb = remap_variables(br.homogenized, nvars, (var, nvars - 3))
-    return Poly.variable(nvars, var) * emb
-
-
 def lemma_identity_checks(ell: int) -> LemmaReport:
     """Verify the subset/symmetric-function expansions and the two
     divisibility identities, as exact polynomial identities in auxiliary
@@ -722,8 +669,10 @@ def lemma_identity_checks(ell: int) -> LemmaReport:
     odd_reflection = []
     shifted_form = []
     for k, k0 in pairs:
-        xbs = _x_bbar(k, k0, nvars - 2, nvars)  # s * Bbar(s, z)
-        xbt = _x_bbar(k, k0, nvars - 1, nvars)  # t * Bbar(t, z)
+        xbs, xbt = (  # s * Bbar(s, z) and t * Bbar(t, z)
+            int_dict_to_poly(*_x_bernoulli(k, k0, var, ell, nvars), nvars)
+            for var in (nvars - 2, nvars - 1)
+        )
         odd_reflection.append(((k, k0), divides(s ** 2 - t ** 2, xbs - xbt)))
         for eps in (1, -1):
             eps_t = t * eps

@@ -9,11 +9,18 @@ import time
 from fractions import Fraction
 from math import comb
 
+from shidcone import cli
 from shidcone.bernoulli import make_bernoulli, rhs_poly
 from shidcone.exactpoly import Poly
 from shidcone.oracle import charpoly_count, derivation_dim, expected_count, expected_dim
 from shidcone.shi_basis import basis
-from shidcone.verify import double_factorial, lemma_identity_checks, saito_verify
+from shidcone.verify import (
+    bareiss_det,
+    double_factorial,
+    lemma_identity_checks,
+    minor_expansion_det,
+    saito_verify,
+)
 
 _reports: dict[int, object] = {}
 
@@ -198,3 +205,25 @@ def test_criterion_10_rank8_certify():
     ok = ok and rep.det_constant == Fraction(1, double_factorial(2 * ell - 3))
     ok = ok and len(memberships) == (ell + 1) * (2 * ell * (ell - 1) + 1) and all(memberships)
     _record(10, "saito_verify rank 8 (certify)", ok, time.perf_counter() - t0, 45.0)
+
+
+def test_criterion_11_rank4_bareiss(monkeypatch, tmp_path):
+    t0 = time.perf_counter()
+    # the CLI's own bareiss_det call, recorded so that it runs once
+    calls = []
+
+    def recorded(matrix):
+        calls.append((matrix, bareiss_det(matrix)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "bareiss_det", recorded)
+    outputs = []
+    for algorithm in ("minors", "bareiss"):
+        path = tmp_path / f"det-{algorithm}.json"
+        args = ["det", "--ell", "4", "--algorithm", algorithm, "--format", "json"]
+        status = cli.main(args + ["--out", str(path)])
+        outputs.append((status, path.read_bytes()))
+    (matrix, det), = calls
+    ok = outputs[0] == outputs[1] and outputs[0][0] == 0
+    ok = ok and det == minor_expansion_det(matrix)
+    _record(11, "rank-4 bareiss_det equals minor expansion", ok, time.perf_counter() - t0, 30.0)

@@ -1,12 +1,17 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shidcone.arrangement import (
     LinearForm,
     defining_poly,
-    forms_json,
+    restriction_table,
     shi_d_cone,
 )
-from shidcone.exactpoly import Poly, divides, exact_div
+from shidcone.detkernel import int_dict_to_poly
+from shidcone.exactpoly import FIELD_MASK, ExponentOverflowError, Poly, divides, exact_div
 
 
 def test_ell2_forms():
@@ -83,17 +88,6 @@ def test_q_squarefree():
             assert not divides(fp, quotient)
 
 
-def test_forms_json():
-    payload = forms_json(shi_d_cone(2))
-    assert payload[0]["text"] == "z"
-    assert payload[0]["coeffs"] == [
-        {"num": "0", "den": "1"},
-        {"num": "0", "den": "1"},
-        {"num": "1", "den": "1"},
-    ]
-    assert payload[2]["text"] == "x1 + x2 - z"
-
-
 def test_every_form_vanishes_somewhere():
     arr = shi_d_cone(3)
     for form in arr.forms:
@@ -104,3 +98,42 @@ def test_every_form_vanishes_somewhere():
         point[s] = -sum(c for i, c in enumerate(form.coeffs) if i != s)
         assert fp.evaluate(point) == 0
         assert any(point)
+
+
+_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _coeffs, max_size=6).map(
+    lambda d: Poly.from_terms(3, d)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.integers(2, 6),
+    st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+    _polys,
+    st.integers(0, 2),
+)
+def test_restriction_table_restricts(s, lead, rest, f, extra):
+    # the integer form lead * x_s + B, B on the variables after x_s
+    ints = [0] * s + [lead] + rest[: 2 - s]
+    form = LinearForm(tuple(Fraction(a, lead) for a in ints))
+    degree = max(f.total_degree(), 0) + extra
+    s2, cleared, table = restriction_table(form, degree)
+    assert s2 == s
+    L = cleared[s]
+    assume(L != 1)
+    total = Poly.zero(3)
+    for mono, c in f.terms():
+        rest_mono = mono[:s] + (0,) + mono[s + 1 :]
+        part = Poly.from_terms(3, {rest_mono: c})
+        total = total + part * int_dict_to_poly(table[mono[s]], 1, 3)
+    b_over_l = [0 if i == s else Fraction(a, L) for i, a in enumerate(cleared)]
+    assert total == f.substitute(s, -Poly.linear_form(3, b_over_l)) * L**degree
+
+
+def test_restriction_table_refuses_a_degree_past_the_field():
+    form = shi_d_cone(2).forms[1]
+    assert len(restriction_table(form, FIELD_MASK)[2]) == FIELD_MASK + 1
+    with pytest.raises(ExponentOverflowError, match="total degree 256"):
+        restriction_table(form, FIELD_MASK + 1)

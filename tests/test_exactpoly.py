@@ -362,3 +362,21 @@ def test_evaluate_matches_termwise_sum(a, point):
         expected += c
     got = a.evaluate(point)
     assert got == expected and isinstance(got, Fraction)
+
+
+def _termwise_product(a: Poly, b: Poly) -> dict:
+    """a * b by a double loop over Fraction terms, cancelled terms dropped."""
+    out: dict[tuple, Fraction] = {}
+    for ma, ca in a.terms():
+        for mb, cb in b.terms():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, polys)
+def test_mul_matches_termwise_fraction_product(a, b, c):
+    # (a + c) * (a - c) cancels its cross terms
+    for x, y in ((a, b), (a + c, a - c), (a * c, b - c)):
+        assert dict((x * y).terms()) == _termwise_product(x, y)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from shidcone import oracle
 from shidcone.arrangement import Arrangement, LinearForm, shi_d_cone
+from shidcone.exactpoly import integer_coeffs
 from shidcone.oracle import (
     _derivation_vector,
-    _integer_coeffs,
     _membership_rows,
     _pivot_rows,
     _sparse_rank,
@@ -144,7 +144,7 @@ def _sparse_rational_rows(draw):
 
 
 def _cleared(row: dict[int, Fraction]) -> dict[int, int]:
-    return dict(zip(row, _integer_coeffs(list(row.values()))))
+    return dict(zip(row, integer_coeffs(list(row.values()))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,8 +158,8 @@ def test_integer_rank_matches_fraction_elimination(rows):
 
 
 def test_integer_coeffs_scale_instead_of_truncating():
-    assert _integer_coeffs([Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5)]) == [3, -4, 0, 30]
-    assert _integer_coeffs([Fraction(4), Fraction(-6)]) == [4, -6]
+    assert integer_coeffs([Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5)]) == [3, -4, 0, 30]
+    assert integer_coeffs([Fraction(4), Fraction(-6)]) == [4, -6]
 
 
 def test_derivation_vectors_scale_fractional_coefficients():
