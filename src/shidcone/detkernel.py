@@ -7,7 +7,8 @@ exponent, x1 in the most significant field, at most 255 per variable).
 Keys pass between ``Poly`` and the kernel unchanged:
 
   * ``poly_to_int_dict`` / ``int_dict_to_poly``: a ``Poly`` to integer
-    terms and a denominator, and back;
+    terms and a denominator, and back: ``Poly``'s own stored fields, so no
+    coefficient is converted, and the way back reduces once;
   * ``clear_columns``: the columns of a ``Poly`` matrix to kernel rows, each
     column under its own denominator, and the product of the denominators;
   * ``det_minor_expansion``: the determinant of kernel rows;
@@ -21,8 +22,8 @@ interchangeable implementations provide the kernel polynomial
 
   * ``DictPoly`` — pure Python, dict[int, int]; any number of variables.
                    Its ``fma`` is ``exactpoly.fma_terms``, the package's
-                   one loop over term pairs; ``shi_basis`` sums each phi
-                   coefficient with it.
+                   one loop over term pairs, which ``shi_basis`` calls
+                   directly to sum the basis.
   * ``IntPoly``  — open-addressing hash with 128-bit accumulators in the C
                    file ``_detkernel.c``, called through ctypes; its int64
                    keys must stay below 2^56 (``KEY_LIMIT``), so at most 7
@@ -62,11 +63,10 @@ import ctypes
 import os
 import warnings
 from ctypes import POINTER, c_int, c_int64, c_uint64, c_void_p
-from fractions import Fraction
 from itertools import combinations
 from typing import Protocol, Sequence
 
-from .exactpoly import Poly, check_field_room, clear_denominators, fma_terms
+from .exactpoly import Poly, _reduced, check_field_room, clear_denominators, fma_terms
 
 
 class IntPolyLike(Protocol):
@@ -372,9 +372,9 @@ def get_impl(fast: bool | None = None):
 
 
 def poly_to_int_dict(f: Poly) -> tuple[dict[int, int], int]:
-    """Clear denominators: returns (integer term dict, den) with f = terms/den."""
-    (terms,), den = clear_denominators([f])
-    return terms, den
+    """(integer term dict, den) with f = terms/den: a copy of f's stored
+    coefficients and its denominator."""
+    return dict(f._terms), f._den
 
 
 def clear_columns(columns: Sequence[Sequence[Poly]], impl) -> tuple[list[list], int]:
@@ -394,8 +394,9 @@ def clear_columns(columns: Sequence[Sequence[Poly]], impl) -> tuple[list[list], 
 
 
 def int_dict_to_poly(d: dict[int, int], den: int, nvars: int) -> Poly:
-    """Inverse of poly_to_int_dict (den may be any nonzero integer)."""
-    return Poly(nvars, {k: Fraction(v, den) for k, v in d.items() if v})
+    """Inverse of poly_to_int_dict (den may be any nonzero integer, and
+    zero values are dropped): reduced once, with no per-term fraction."""
+    return _reduced(nvars, {k: v for k, v in d.items() if v}, den)
 
 
 # -- determinant by minor expansion ------------------------------------------

@@ -3,9 +3,13 @@
 The ring is Q[x1, ..., x_{n-1}, z]: a fixed number of variables ``nvars``,
 where by convention the last variable is the homogenizing coordinate and is
 rendered as ``z``; a one-variable ring (the Bernoulli relatives' B(x))
-passes its own name to ``render``.  Coefficients are
-:class:`fractions.Fraction` (always reduced, exact); monomials are exponent
-tuples.
+passes its own name to ``render``.  A ``Poly`` stores integer coefficients
+on packed monomial keys over one positive denominator, reduced (no zero
+term; gcd of the denominator and every coefficient 1), and ``_reduced`` is
+the one place that reduces a result.  ``fractions.Fraction`` appears only
+at the edges: the inputs of ``constant``, ``from_terms``, ``linear_form``
+and a scalar ``*``, the outputs of ``terms``, ``leading_coefficient`` and
+``evaluate``, and the reference ``division_with_remainder``.
 
 The one and only monomial order used anywhere in this package is pure
 lexicographic with x1 > x2 > ... > z.  Each monomial is packed into a single
@@ -20,19 +24,17 @@ is at most 255 (``FIELD_MASK``); the compiled kernel's keys are int64 below
 the room first (``check_field_room``), division checks each quotient term,
 and both raise ExponentOverflowError instead.
 
-Products run over the integers: ``fma_terms`` is the package's one loop
-over term pairs, on packed keys and ``int`` coefficients.  ``Poly``
-products clear each operand's denominators, multiply the numerators there
-and divide each product term once by the product of the two denominators;
-the kernel's pure-Python ``fma`` and the hyperplane restrictions of
-``arrangement`` and ``verify`` call it too.
+Products run on the stored integers: ``fma_terms`` is the package's one
+loop over term pairs, on packed keys and ``int`` coefficients.  A ``Poly``
+product multiplies the two coefficient maps there and takes the product of
+the two denominators; the kernel's pure-Python ``fma``, the basis sums of
+``shi_basis`` and the hyperplane restrictions of ``arrangement`` and
+``verify`` call it too.
 
-Division runs over the integers as well: the dividend's denominators are
-cleared once, the divisor is scaled to a primitive integer polynomial, and
-one heap division loop (in the style of Monagan and Pearce, "Sparse
-polynomial division using a heap", J. Symb. Comp. 46, 2011) works on
-``int`` coefficients; results are converted back to ``Fraction`` once at
-the end.
+Division runs over the integers as well: the divisor is scaled to a
+primitive integer polynomial, and one heap division loop (in the style of
+Monagan and Pearce, "Sparse polynomial division using a heap", J. Symb.
+Comp. 46, 2011) works on the dividend's stored coefficients.
 
 No floating point is used anywhere in this module.
 """
@@ -41,17 +43,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
 FIELD_BITS = 8
 FIELD_MASK = (1 << FIELD_BITS) - 1
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 def to_rational(c) -> Fraction:
     """Convert to Fraction, rejecting floats (this package is float-free)."""
@@ -134,18 +132,20 @@ def default_names(nvars: int) -> list[str]:
 class Poly:
     """Immutable sparse multivariate polynomial with rational coefficients.
 
-    Stored terms never have a zero coefficient; two polynomials are equal
-    iff their term maps are equal.  Instances are safe to share across
-    threads (all operations are pure).
+    The polynomial is _terms / _den: nonzero ``int`` coefficients on packed
+    keys over one ``int`` denominator, reduced (_den > 0 and gcd(_den, all
+    coefficients) = 1), so two polynomials are equal iff their fields are.
+    Instances are safe to share across threads (all operations are pure).
     """
 
-    __slots__ = ("nvars", "_terms", "_maxdeg")
+    __slots__ = ("nvars", "_terms", "_den", "_maxdeg")
 
-    def __init__(self, nvars: int, _terms: dict[int, Fraction] | None = None):
+    def __init__(self, nvars: int, _terms: dict[int, int] | None = None, _den: int = 1):
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
         self.nvars = nvars
         self._terms = _terms if _terms is not None else {}
+        self._den = _den
         self._maxdeg: int | None = None  # total degree, computed on first use
 
     # -- constructors ------------------------------------------------------
@@ -156,18 +156,17 @@ class Poly:
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
-        return cls(nvars, {0: _F1})
+        return cls(nvars, {0: 1})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
-        c = to_rational(c)
-        return cls(nvars, {0: c} if c else {})
+        return _from_rationals(nvars, {0: to_rational(c)})
 
     @classmethod
     def variable(cls, nvars: int, var: int) -> "Poly":
         if not 0 <= var < nvars:
             raise IndexError(f"variable index {var} out of range for {nvars} variables")
-        return cls(nvars, {1 << (FIELD_BITS * (nvars - 1 - var)): _F1})
+        return cls(nvars, {1 << (FIELD_BITS * (nvars - 1 - var)): 1})
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Mapping[Sequence[int], object]) -> "Poly":
@@ -176,28 +175,17 @@ class Poly:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"monomial {exps} has wrong length for nvars={nvars}")
-            c = to_rational(c)
-            if not c:
-                continue
-            key = _pack(exps)
-            acc = out.get(key, _F0) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return cls(nvars, out)
+            # distinct exponent tuples pack to distinct keys
+            out[_pack(exps)] = to_rational(c)
+        return _from_rationals(nvars, out)
 
     @classmethod
     def linear_form(cls, nvars: int, coeffs: Sequence[object]) -> "Poly":
         """Polynomial c_0*x1 + ... + c_{n-1}*z from a coefficient vector."""
         if len(coeffs) != nvars:
             raise ValueError("coefficient vector has wrong length")
-        out: dict[int, Fraction] = {}
-        for i, c in enumerate(coeffs):
-            c = to_rational(c)
-            if c:
-                out[1 << (FIELD_BITS * (nvars - 1 - i))] = c
-        return cls(nvars, out)
+        units = (1 << (FIELD_BITS * (nvars - 1 - i)) for i in range(nvars))
+        return _from_rationals(nvars, {k: to_rational(c) for k, c in zip(units, coeffs)})
 
     # -- inspection --------------------------------------------------------
 
@@ -213,7 +201,7 @@ class Poly:
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Yield (monomial, coefficient) pairs in descending pure-lex order."""
         for key in sorted(self._terms, reverse=True):
-            yield _unpack(key, self.nvars), self._terms[key]
+            yield _unpack(key, self.nvars), Fraction(self._terms[key], self._den)
 
     def total_degree(self) -> int:
         """Maximal total degree of a term; -1 for the zero polynomial."""
@@ -239,11 +227,11 @@ class Poly:
     def leading_coefficient(self) -> Fraction:
         if not self._terms:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._terms[max(self._terms)]
+        return Fraction(self._terms[max(self._terms)], self._den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.nvars == other.nvars and self._terms == other._terms
+            return (self.nvars, self._den, self._terms) == (other.nvars, other._den, other._terms)
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(self.nvars, other)
         return NotImplemented
@@ -262,19 +250,19 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compat(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = out.get(k, _F0) + c
+        (out, b), den = clear_denominators([self, other])
+        for k, c in b.items():
+            acc = out.get(k, 0) + c
             if acc:
                 out[k] = acc
             else:
                 del out[k]
-        return Poly(self.nvars, out)
+        return _reduced(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {k: -c for k, c in self._terms.items()})
+        return Poly(self.nvars, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -289,9 +277,8 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             c = to_rational(other)
-            if not c:
-                return Poly(self.nvars)
-            return Poly(self.nvars, {k: v * c for k, v in self._terms.items()})
+            out = {k: v * c.numerator for k, v in self._terms.items()} if c else {}
+            return _reduced(self.nvars, out, self._den * c.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compat(other)
@@ -303,13 +290,9 @@ class Poly:
         degree = self.total_degree() + other.total_degree()
         if degree > FIELD_MASK:
             check_field_room((self._terms, other._terms))
-        # multiply the integer numerators, divide each product term once
-        (a,), da = clear_denominators([self])
-        (b,), db = clear_denominators([other])
         out: dict[int, int] = {}
-        fma_terms(out, a, b)
-        den = da * db
-        result = Poly(self.nvars, {k: Fraction(c, den) for k, c in out.items()})
+        fma_terms(out, self._terms, other._terms)
+        result = _reduced(self.nvars, out, self._den * other._den)
         # Q[x] is a domain: the top-degree parts multiply to a nonzero part.
         result._maxdeg = degree
         return result
@@ -337,12 +320,12 @@ class Poly:
             raise IndexError(f"variable index {var} out of range")
         shift = FIELD_BITS * (self.nvars - 1 - var)
         unit = 1 << shift
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for k, c in self._terms.items():
             e = (k >> shift) & FIELD_MASK
             if e:
                 out[k - unit] = c * e
-        return Poly(self.nvars, out)
+        return _reduced(self.nvars, out, self._den)
 
     def substitute(self, var: int, g: "Poly") -> "Poly":
         """Replace variable ``var`` by the polynomial ``g``, expanded."""
@@ -358,7 +341,7 @@ class Poly:
             if prev is not None:
                 for _ in range(prev - e):
                     result = result * g
-            result = result + Poly(self.nvars, by_exp[e])
+            result = result + _reduced(self.nvars, by_exp[e], self._den)
             prev = e
         if prev:
             for _ in range(prev):
@@ -369,28 +352,25 @@ class Poly:
         """Exact evaluation at a rational point.
 
         Runs over the integers: with v_i = n_i / d_i and t_i the largest
-        exponent of variable i, a term C * x^e of the cleared polynomial
-        (self = cleared / D) adds C * prod n_i^e_i * d_i^(t_i - e_i), and
-        the sum is divided once by D * prod d_i^t_i.
+        exponent of variable i, a stored term C * x^e adds
+        C * prod n_i^e_i * d_i^(t_i - e_i), and the sum is divided once by
+        _den * prod d_i^t_i.
         """
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
         vals = [to_rational(v) for v in point]
-        (terms,), den = clear_denominators([self])
-        monos = [_unpack(k, self.nvars) for k in terms]
+        monos = [_unpack(k, self.nvars) for k in self._terms]
         top = [max(col) for col in zip(*monos)]
         powers: list[dict[int, int]] = [{} for _ in vals]
         total = 0
-        for mono, c in zip(monos, terms.values()):
+        for mono, c in zip(monos, self._terms.values()):
             for v, e, t, pw in zip(vals, mono, top, powers):
                 p = pw.get(e)
                 if p is None:
                     p = pw[e] = v.numerator**e * v.denominator ** (t - e)
                 c *= p
             total += c
-        for v, t in zip(vals, top):
-            den *= v.denominator**t
-        return Fraction(total, den)
+        return Fraction(total, self._den * prod(v.denominator**t for v, t in zip(vals, top)))
 
     # -- rendering ---------------------------------------------------------
 
@@ -432,15 +412,32 @@ def _render_rational(c: Fraction) -> str:
 # -- module-level operations ----------------------------------------------
 
 
+def _reduced(nvars: int, terms: dict[int, int], den: int) -> Poly:
+    """terms / den (no zero term, den nonzero) in the stored form of ``Poly``.
+    ``terms`` is kept or replaced, never changed."""
+    if den < 0:
+        terms, den = {k: -c for k, c in terms.items()}, -den
+    g = gcd(den, *terms.values())
+    if g != 1:
+        terms, den = {k: c // g for k, c in terms.items()}, den // g
+    return Poly(nvars, terms, den)
+
+
+def _from_rationals(nvars: int, terms: Mapping[int, Fraction]) -> Poly:
+    """The polynomial with these rational coefficients on packed keys.  Over
+    den, the lcm of the denominators, it is reduced: a coefficient whose
+    denominator holds a prime's full power in den keeps a numerator prime
+    to it."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    out = {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}
+    return Poly(nvars, out, den)
+
+
 def clear_denominators(polys: Sequence[Poly]) -> tuple[list[dict[int, int]], int]:
     """Integer terms of each polynomial under one common denominator d:
-    polys[i] = terms[i] / d.  Returns (terms, d)."""
-    den = 1
-    for f in polys:
-        for c in f._terms.values():
-            den = lcm(den, c.denominator)
-    terms = [{k: c.numerator * (den // c.denominator) for k, c in f._terms.items()} for f in polys]
-    return terms, den
+    polys[i] = terms[i] / d.  Returns (terms, d); the term dicts are new."""
+    den = lcm(*(f._den for f in polys))
+    return [{k: c * (den // f._den) for k, c in f._terms.items()} for f in polys], den
 
 
 def integer_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
@@ -477,13 +474,12 @@ def fma_terms(
                     del out[k]
 
 
-def _primitive(b: Poly) -> tuple[dict[int, int], Fraction]:
-    """b = content * B with B a primitive integer polynomial; returns (B, content)."""
+def _primitive(b: Poly) -> tuple[dict[int, int], int]:
+    """b = g * B / b._den, B a primitive integer polynomial; returns (B, g)."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    (terms,), den = clear_denominators([b])
-    g = gcd(*terms.values())
-    return {k: v // g for k, v in terms.items()}, Fraction(g, den)
+    g = gcd(*b._terms.values())
+    return {k: v // g for k, v in b._terms.items()}, g
 
 
 def _divide(
@@ -562,15 +558,17 @@ def division_with_remainder(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     Returns (q, r) with a = q*b + r and no monomial of r divisible by the
     initial monomial of b.  For a single divisor this property makes the
     remainder canonical, so r == 0 is a sound exact-divisibility test.
+    The tests' reference for ``divides`` and ``exact_div``.
     """
-    divisor, content = _primitive(b)
+    divisor, g = _primitive(b)
     a._check_compat(b)
-    (work,), den = clear_denominators([a])
-    quo, rem = _divide(work, divisor, a.nvars, exact=False, quotient=True)
-    scale = content * den
+    quo, rem = _divide(dict(a._terms), divisor, a.nvars, exact=False, quotient=True)
+    # a = A / da and b = g * B / db, so a / b = (A / B) * db / (g * da); the
+    # maps hold fractions after a step that is not integral
+    scale, inv = Fraction(b._den, g * a._den), Fraction(1, a._den)
     return (
-        Poly(a.nvars, {k: c / scale for k, c in quo.items()}),
-        Poly(a.nvars, {k: Fraction(c, den) for k, c in rem.items()}),
+        _from_rationals(a.nvars, {k: c * scale for k, c in quo.items()}),
+        _from_rationals(a.nvars, {k: c * inv for k, c in rem.items()}),
     )
 
 
@@ -580,14 +578,13 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     A failed exact division signals a violated algebraic identity upstream;
     results are never silently truncated.
     """
-    divisor, content = _primitive(b)
+    divisor, g = _primitive(b)
     a._check_compat(b)
-    (work,), den = clear_denominators([a])
-    out = _divide(work, divisor, a.nvars, exact=True, quotient=True)
+    out = _divide(dict(a._terms), divisor, a.nvars, exact=True, quotient=True)
     if out is None:
         raise DivisionNotExactError("division not exact: nonzero remainder")
-    scale = content * den
-    return Poly(a.nvars, {k: c / scale for k, c in out[0].items()})
+    # the quotient is integral (Gauss's lemma); a / b as in division_with_remainder
+    return _reduced(a.nvars, {k: c * b._den for k, c in out[0].items()}, g * a._den)
 
 
 def divides(b: Poly, a: Poly) -> bool:
@@ -595,8 +592,7 @@ def divides(b: Poly, a: Poly) -> bool:
     Stops at the first remainder term and never builds the quotient."""
     divisor, _ = _primitive(b)
     a._check_compat(b)
-    (work,), _ = clear_denominators([a])
-    return _divide(work, divisor, a.nvars, exact=True, quotient=False) is not None
+    return _divide(dict(a._terms), divisor, a.nvars, exact=True, quotient=False) is not None
 
 
 def split_by_variable(terms: Mapping[int, object], var: int, nvars: int) -> dict[int, dict]:
@@ -651,14 +647,14 @@ def remap_variables(f: Poly, nvars: int, mapping: Sequence[int]) -> Poly:
     for m in mapping:
         if not 0 <= m < nvars:
             raise IndexError("mapped variable index out of range")
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for k, c in f._terms.items():
         exps = _unpack(k, f.nvars)
         new = [0] * nvars
         for i, e in enumerate(exps):
             new[mapping[i]] = e
         out[_pack(new)] = c
-    return Poly(nvars, out)
+    return Poly(nvars, out, f._den)
 
 
 def product(nvars: int, factors: Iterable[Poly]) -> Poly:

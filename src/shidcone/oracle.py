@@ -28,7 +28,7 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .arrangement import restriction_table, shi_d_cone
-from .exactpoly import _pack, integer_coeffs
+from .exactpoly import _pack, _unpack, clear_denominators
 from .shi_basis import Derivation, basis
 
 POINT_ENUMERATION_CAP = 10**7
@@ -178,12 +178,12 @@ def _derivation_vector(
 ) -> dict[int, int]:
     """The coefficients of x^shift * theta as one vector over the monomials
     of ``monos_index``, scaled by their common denominator to integers."""
-    uids, values = [], []
-    for v, poly in enumerate(theta.coefficients()):
-        for mono, c in poly.terms():
-            uids.append(v * n_mono + monos_index[tuple(map(add, mono, shift))])
-            values.append(c)
-    return dict(zip(uids, integer_coeffs(values)))
+    columns, _ = clear_denominators(theta.coefficients())
+    return {
+        v * n_mono + monos_index[tuple(map(add, _unpack(key, theta.nvars), shift))]: c
+        for v, terms in enumerate(columns)
+        for key, c in terms.items()
+    }
 
 
 def basis_span_rank_at_h(ell: int) -> tuple[int, int]:

@@ -40,15 +40,16 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from .bernoulli import make_bernoulli
-from .detkernel import DictPoly, int_dict_to_poly, poly_to_int_dict
 from .exactpoly import (
     FIELD_MASK,
     ExponentOverflowError,
     Poly,
     _pack,
+    _reduced,
     default_names,
     divide_by_variable,
     elementary_symmetric,
+    fma_terms,
     remap_variables,
 )
 
@@ -128,21 +129,21 @@ def term_indices(j: int, ell: int) -> Iterator[TermIndex]:
 
 
 @lru_cache(maxsize=None)
-def _x_bernoulli(k: int, k0: int, var: int, zvar: int, nvars: int) -> tuple[dict[int, int], int]:
-    """x_var * Bbar_{k,k0}(x_var, x_zvar) inside the nvars-variable ring, as
-    integer terms and a denominator.  In the (-1, 0) case Bbar stands for
-    -1/x_var, so the product is the constant -1."""
+def _x_bernoulli(k: int, k0: int, var: int, zvar: int, nvars: int) -> Poly:
+    """x_var * Bbar_{k,k0}(x_var, x_zvar) inside the nvars-variable ring.  In
+    the (-1, 0) case Bbar stands for -1/x_var, so the product is the
+    constant -1."""
     br = make_bernoulli(k, k0)
     if br.is_negative_one_zero:
-        return {0: -1}, 1
+        return -Poly.one(nvars)
     emb = remap_variables(br.homogenized, nvars, (var, zvar))
-    return poly_to_int_dict(Poly.variable(nvars, var) * emb)
+    return Poly.variable(nvars, var) * emb
 
 
 @lru_cache(maxsize=None)
 def _sigma_tau_table(
     J1: tuple[int, ...], J2: tuple[int, ...], nvars: int
-) -> dict[tuple[int, int], DictPoly]:
+) -> dict[tuple[int, int], dict[int, int]]:
     """(-1)^(n1+n2) * sigma_{n1}^{J1} * tau_{2 n2}^{J2} for all (n1, n2), as
     integer terms; {(0, 0): 1} when J1 and J2 are empty (the j = l case)."""
     sigma = [
@@ -158,11 +159,11 @@ def _sigma_tau_table(
     table = {}
     for n1, s in enumerate(sigma):
         for n2, t in enumerate(tau):
-            table[(n1, n2)] = DictPoly(poly_to_int_dict(s * t * (-1) ** (n1 + n2))[0])
+            table[(n1, n2)] = (s * t * (-1) ** (n1 + n2))._terms  # denominator 1
     return table
 
 
-def _subset_weight(K1: Sequence[int], K2: Sequence[int], nvars: int) -> DictPoly:
+def _subset_weight(K1: Sequence[int], K2: Sequence[int], nvars: int) -> dict[int, int]:
     """(prod K1) * (prod K2)^2 * (-z)^|K1|, a single monomial."""
     exps = [0] * nvars
     for v in K1:
@@ -170,7 +171,7 @@ def _subset_weight(K1: Sequence[int], K2: Sequence[int], nvars: int) -> DictPoly
     for v in K2:
         exps[v] = 2
     exps[-1] = len(K1)
-    return DictPoly({_pack(exps): (-1) ** len(K1)})
+    return {_pack(exps): (-1) ** len(K1)}
 
 
 def _build_phi(j: int, ell: int) -> Derivation:
@@ -190,27 +191,26 @@ def _build_phi(j: int, ell: int) -> Derivation:
         prefactor = Poly.variable(nvars, j - 1) - Poly.variable(nvars, j) - z
     else:
         prefactor = -Poly.variable(nvars, ell - 1)
-    prefactor = DictPoly(poly_to_int_dict(prefactor)[0])
     # the inner sum depends on the summand only through weight * sigma_tau
     # and (k, k0), so the summands sharing a Bbar_{k,k0} are added up once
-    groups: dict[tuple[int, int], DictPoly] = {}
+    groups: dict[tuple[int, int], dict[int, int]] = {}
     for t in term_indices(j, ell):
         st = _sigma_tau_table(t.J1, t.J2, nvars)[(t.n1, t.n2)]
-        groups.setdefault((t.k, t.k0), DictPoly()).fma(_subset_weight(t.K1, t.K2, nvars), st, 1)
+        fma_terms(groups.setdefault((t.k, t.k0), {}), _subset_weight(t.K1, t.K2, nvars), st)
     coeff_x = []
     for i in range(ell):
-        # accumulate den * x_i * (inner sum)
+        # accumulate den * x_i * (inner sum), each x_i * Bbar scaled to den
         xbbars = {kk: _x_bernoulli(*kk, i, nvars - 1, nvars) for kk in groups}
-        den = lcm(*(d for _, d in xbbars.values()))
-        acc = DictPoly()
+        den = lcm(*(p._den for p in xbbars.values()))
+        acc: dict[int, int] = {}
         for kk, group in groups.items():
-            xbbar, d = xbbars[kk]
-            acc.fma(group, DictPoly({k: v * (den // d) for k, v in xbbar.items()}), 1)
+            p = xbbars[kk]
+            fma_terms(acc, group, p._terms, den // p._den)
         # the prefactor goes on before the division: for phi_l at i = l the
         # inner sum alone is not divisible by x_l
-        out = DictPoly()
-        out.fma(acc, prefactor, 1)
-        coeff_x.append(int_dict_to_poly(divide_by_variable(out.d, i, nvars), den, nvars))
+        out: dict[int, int] = {}
+        fma_terms(out, acc, prefactor._terms)  # an integer polynomial: denominator 1
+        coeff_x.append(_reduced(nvars, divide_by_variable(out, i, nvars), den))
     return Derivation(
         ell=ell, name=f"phi_{j}", coeff_x=tuple(coeff_x), coeff_z=Poly.zero(nvars)
     )

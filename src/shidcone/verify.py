@@ -669,10 +669,8 @@ def lemma_identity_checks(ell: int) -> LemmaReport:
     odd_reflection = []
     shifted_form = []
     for k, k0 in pairs:
-        xbs, xbt = (  # s * Bbar(s, z) and t * Bbar(t, z)
-            int_dict_to_poly(*_x_bernoulli(k, k0, var, ell, nvars), nvars)
-            for var in (nvars - 2, nvars - 1)
-        )
+        # s * Bbar(s, z) and t * Bbar(t, z)
+        xbs, xbt = (_x_bernoulli(k, k0, var, ell, nvars) for var in (nvars - 2, nvars - 1))
         odd_reflection.append(((k, k0), divides(s ** 2 - t ** 2, xbs - xbt)))
         for eps in (1, -1):
             eps_t = t * eps

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shidcone import detkernel, exactpoly
+from shidcone.detkernel import int_dict_to_poly, poly_to_int_dict
+from shidcone.shi_basis import basis
 from shidcone.exactpoly import (
     FIELD_MASK,
     DivisionNotExactError,
@@ -11,6 +15,7 @@ from shidcone.exactpoly import (
     Poly,
     _pack,
     _unpack,
+    clear_denominators,
     divides,
     division_with_remainder,
     elementary_symmetric,
@@ -380,3 +385,84 @@ def test_mul_matches_termwise_fraction_product(a, b, c):
     # (a + c) * (a - c) cancels its cross terms
     for x, y in ((a, b), (a + c, a - c), (a * c, b - c)):
         assert dict((x * y).terms()) == _termwise_product(x, y)
+
+
+# -- the stored form: integer coefficients over one denominator ------------------
+
+
+def _assert_reduced(p: Poly) -> None:
+    """The stored-form invariant: positive denominator, no zero coefficient,
+    and no factor shared by the denominator and every coefficient."""
+    assert isinstance(p._den, int) and p._den > 0
+    assert all(isinstance(c, int) and c for c in p._terms.values())
+    assert gcd(p._den, *p._terms.values()) == 1
+
+
+def test_equal_values_by_different_routes_compare_equal():
+    half = Fraction(1, 2)
+    assert X1 * half + X1 * half == X1
+    assert (X1 * half + X1 * half)._den == 1
+    key = _pack((1, 0, 0))
+    assert int_dict_to_poly({key: 2}, 4, N) == Poly.from_terms(N, {(1, 0, 0): half})
+    assert int_dict_to_poly({key: 2}, -4, N) == -half * X1
+    assert (X1**2 * Fraction(1, 6)).partial_derivative(0) == Fraction(1, 3) * X1
+    assert (2 * X1) * (half * X2) == X1 * X2
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, nonzero_polys, coeffs, st.integers(0, 3), st.integers(-6, 6).filter(bool))
+def test_every_operation_returns_the_reduced_form(a, b, c, n, m):
+    terms, den = poly_to_int_dict(a)
+    # the same value as a over a scaled, possibly negative, denominator
+    rescaled = int_dict_to_poly({k: v * m for k, v in terms.items()}, den * m, N)
+    results = [
+        a + b,
+        a - b,
+        a + c,
+        a * b,
+        a * c,
+        c * a,
+        a**n,
+        a.partial_derivative(0),
+        a.substitute(1, b),
+        exact_div(a * b, b),
+        remap_variables(a, 4, (3, 0, 2)),
+        Poly.from_terms(N, dict(a.terms())),
+        Poly.constant(N, c),
+        rescaled,
+    ]
+    for p in results:
+        _assert_reduced(p)
+    # one value, one stored form, whatever the route
+    assert rescaled == a
+    assert (a + b) - b == a
+    assert a * c * (1 / c) == a
+    assert (a * c) * b == a * (b * c)
+
+
+class _NoFraction(Fraction):
+    """Stands in for ``Fraction`` in a module: building one fails."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built on an integer path")
+
+
+def test_integer_paths_build_no_fraction(monkeypatch):
+    a = Fraction(1, 2) * X1**2 - Fraction(2, 3) * X2 * Z + 5
+    b = Fraction(3, 4) * X1 - Fraction(1, 6) * Z
+    expected_product = Poly.from_terms(N, dict(a.terms())) * b
+    # fills the caches of the Bernoulli relatives, which are built over Fraction
+    expected_basis = basis(3)
+    monkeypatch.setattr(exactpoly, "Fraction", _NoFraction)
+    monkeypatch.setattr(detkernel, "Fraction", _NoFraction, raising=False)
+    s = a + b - b
+    p = a * b
+    assert s == a and p == expected_product
+    assert exact_div(p, b) == a
+    assert divides(b, p) and not divides(b, a)
+    terms, den = clear_denominators([a, b])
+    assert den == 12 and terms[1] == {_pack((1, 0, 0)): 9, _pack((0, 0, 1)): -2}
+    d, den = poly_to_int_dict(p)
+    assert int_dict_to_poly(d, den, N) == p
+    # the phi coefficients are summed over the integers and reduced once
+    assert [t.coefficients() for t in basis(3)] == [t.coefficients() for t in expected_basis]
