@@ -2,8 +2,9 @@
 
 Subcommands: basis, bernoulli, verify, det, lemmas, oracle dims,
 oracle charpoly.  Exit status: 0 when the requested checks pass, 1 when a
-verification fails, 2 on usage errors (invalid arguments, or an ``--out``
-file that cannot be written, which is found before the command runs), 3 on
+verification fails, 2 on usage errors (invalid arguments, among them a rank
+or degree whose exponents would pass 255, or an ``--out`` file that cannot
+be written; both are found before the command does any work), 3 on
 an internal error (any other exception, reported on stderr as
 ``internal error: <type>: <message>``).
 
@@ -11,6 +12,12 @@ JSON output is canonical: stable field order, big integers rendered as
 decimal strings, monomials as exponent arrays; byte-identical across runs
 for identical inputs (timings are only included on request, since they
 vary run to run).
+
+To add a subcommand, add one ``add_parser`` and pass it to ``add_common``
+with its ``_run_x``, which ``set_defaults(handler=_run_x)`` attaches.  The
+handler reads the parsed ``argparse.Namespace`` (``args.ell``,
+``args.format``, ...) directly, so each flag and its default are declared
+once, in its ``add_argument``.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Sequence
 
 from .bernoulli import make_bernoulli
@@ -27,6 +34,7 @@ from .oracle import charpoly_count, expected_count, graded_dims
 from .shi_basis import basis, derivation_to_dict, poly_terms_json
 from .verify import (
     bareiss_det,
+    coefficient_matrix,
     lemma_identity_checks,
     minor_expansion_det,
     saito_verify,
@@ -35,25 +43,6 @@ from .verify import (
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 INTERNAL_ERROR = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; commands use the normalized names
-    basis | bernoulli | verify | det | lemmas | oracle-dims | oracle-charpoly."""
-
-    command: str
-    ell: int | None = None
-    p: int | None = None
-    q: int | None = None
-    d: int | None = None
-    prime: int | None = None
-    method: str = "auto"
-    algorithm: str = "minors"
-    format: str = "text"
-    out: str | None = None
-    include_det: bool = False
-    include_timing: bool = False
 
 
 def emit_json(obj) -> str:
@@ -65,13 +54,13 @@ class OutputPathError(Exception):
     """The --out file could not be written: a usage error, not a crash."""
 
 
-def _write(config: RunConfig, text: str, mode: str = "w") -> None:
-    if config.out:
+def _write(args: argparse.Namespace, text: str, mode: str = "w") -> None:
+    if args.out:
         try:
-            with open(config.out, mode, encoding="utf-8") as fh:
+            with open(args.out, mode, encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise OutputPathError(f"cannot write {config.out}: {exc.strerror or exc}") from exc
+            raise OutputPathError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -79,32 +68,32 @@ def _write(config: RunConfig, text: str, mode: str = "w") -> None:
 # -- command implementations ---------------------------------------------------
 
 
-def _run_basis(config: RunConfig) -> int:
-    derivs = basis(config.ell)
-    if config.format == "json":
-        _write(config, emit_json([derivation_to_dict(d) for d in derivs]))
+def _run_basis(args: argparse.Namespace) -> int:
+    derivs = basis(args.ell)
+    if args.format == "json":
+        _write(args, emit_json([derivation_to_dict(d) for d in derivs]))
         return 0
     lines = []
     for d in derivs:
         lines.append(f"{d.name}:")
         for var, coeff in zip(default_names(d.nvars), d.coefficients()):
             lines.append(f"  d/d{var}: {coeff.render()}")
-    _write(config, "\n".join(lines) + "\n")
+    _write(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _run_bernoulli(config: RunConfig) -> int:
-    br = make_bernoulli(config.p, config.q)
-    label = f"({config.p},{config.q})"
+def _run_bernoulli(args: argparse.Namespace) -> int:
+    br = make_bernoulli(args.p, args.q)
+    label = f"({args.p},{args.q})"
     if br.is_negative_one_zero:
-        if config.format == "json":
+        if args.format == "json":
             payload = {"p": br.p, "q": br.q, "is_negative_one_zero": True}
-            _write(config, emit_json(payload))
+            _write(args, emit_json(payload))
         else:
-            _write(config, f"B_{label}(x) = -1/x (rational function, flagged)\n")
+            _write(args, f"B_{label}(x) = -1/x (rational function, flagged)\n")
         return 0
     univariate = br.univariate.render(["x"])
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "p": br.p,
             "q": br.q,
@@ -112,20 +101,20 @@ def _run_bernoulli(config: RunConfig) -> int:
             "univariate": univariate,
             "homogenized": poly_terms_json(br.homogenized),
         }
-        _write(config, emit_json(payload))
+        _write(args, emit_json(payload))
         return 0
     homog = br.homogenized.render(names=["x", "z"])
-    _write(config, f"B_{label}(x) = {univariate}\nBbar_{label}(x,z) = {homog}\n")
+    _write(args, f"B_{label}(x) = {univariate}\nBbar_{label}(x,z) = {homog}\n")
     return 0
 
 
-def _run_verify(config: RunConfig) -> int:
-    report = saito_verify(config.ell, method=config.method)
-    if config.format == "json":
-        payload = report.summary_dict(include_timing=config.include_timing)
-        if config.include_det:
+def _run_verify(args: argparse.Namespace) -> int:
+    report = saito_verify(args.ell, method=args.method)
+    if args.format == "json":
+        payload = report.summary_dict(include_timing=args.timings)
+        if args.include_det:
             payload["det_phi"] = poly_terms_json(report.det_phi)
-        _write(config, emit_json(payload))
+        _write(args, emit_json(payload))
     else:
         lines = [
             f"ell = {report.ell} (method: {report.method})",
@@ -137,33 +126,31 @@ def _run_verify(config: RunConfig) -> int:
             f"det_constant: {report.det_constant}",
             f"saito_ok: {report.saito_ok}",
         ]
-        if config.include_timing:
+        if args.timings:
             for phase, secs in report.timing.items():
                 lines.append(f"  time[{phase}]: {secs:.3f}s")
-        _write(config, "\n".join(lines) + "\n")
+        _write(args, "\n".join(lines) + "\n")
     return 0 if report.saito_ok else CHECK_FAILED
 
 
-def _run_det(config: RunConfig) -> int:
-    derivs = basis(config.ell)
-    matrix = [
-        [phi.coeff_x[i] for phi in derivs[1:]] for i in range(config.ell)
-    ]
-    if config.algorithm == "bareiss":
+def _run_det(args: argparse.Namespace) -> int:
+    # rows x1..xl of the phi columns: the z row is dropped
+    matrix = coefficient_matrix(basis(args.ell)[1:])[:-1]
+    if args.algorithm == "bareiss":
         det = bareiss_det(matrix)
     else:
         det = minor_expansion_det(matrix)
-    if config.format == "json":
-        _write(config, emit_json({"ell": config.ell, "det": poly_terms_json(det)}))
+    if args.format == "json":
+        _write(args, emit_json({"ell": args.ell, "det": poly_terms_json(det)}))
     else:
-        _write(config, det.render() + "\n")
+        _write(args, det.render() + "\n")
     return 0
 
 
-def _run_lemmas(config: RunConfig) -> int:
-    report = lemma_identity_checks(config.ell)
-    if config.format == "json":
-        _write(config, emit_json(report.summary_dict()))
+def _run_lemmas(args: argparse.Namespace) -> int:
+    report = lemma_identity_checks(args.ell)
+    if args.format == "json":
+        _write(args, emit_json(report.summary_dict()))
     else:
         d = report.summary_dict()
         lines = [f"ell = {report.ell}"]
@@ -176,86 +163,44 @@ def _run_lemmas(config: RunConfig) -> int:
             n_ok = sum(1 for item in d[section] if item["ok"])
             lines.append(f"{section}: {n_ok}/{len(d[section])} ok")
         lines.append(f"all_ok: {report.all_ok}")
-        _write(config, "\n".join(lines) + "\n")
+        _write(args, "\n".join(lines) + "\n")
     return 0 if report.all_ok else CHECK_FAILED
 
 
-def _run_oracle_dims(config: RunConfig) -> int:
-    reports = graded_dims(config.ell, config.d)
+def _run_oracle_dims(args: argparse.Namespace) -> int:
+    reports = graded_dims(args.ell, args.max_degree)
     ok = all(r.ok for r in reports)
-    if config.format == "json":
-        payload = [
-            {
-                "ell": r.ell,
-                "degree": r.degree,
-                "computed_dim": r.computed_dim,
-                "expected_dim": r.expected_dim,
-                "ok": r.ok,
-            }
-            for r in reports
-        ]
-        _write(config, emit_json(payload))
+    if args.format == "json":
+        _write(args, emit_json([{**asdict(r), "ok": r.ok} for r in reports]))
     else:
         lines = [
             f"d={r.degree}: computed={r.computed_dim} expected={r.expected_dim}"
             f" {'ok' if r.ok else 'MISMATCH'}"
             for r in reports
         ]
-        _write(config, "\n".join(lines) + "\n")
+        _write(args, "\n".join(lines) + "\n")
     return 0 if ok else CHECK_FAILED
 
 
-def _run_oracle_charpoly(config: RunConfig) -> int:
-    count = charpoly_count(config.ell, config.prime)
-    expected = expected_count(config.ell, config.prime)
+def _run_oracle_charpoly(args: argparse.Namespace) -> int:
+    count = charpoly_count(args.ell, args.q)
+    expected = expected_count(args.ell, args.q)
     ok = count == expected
-    if config.format == "json":
+    if args.format == "json":
         payload = {
-            "ell": config.ell,
-            "q": config.prime,
+            "ell": args.ell,
+            "q": args.q,
             "count": count,
             "expected": expected,
             "ok": ok,
         }
-        _write(config, emit_json(payload))
+        _write(args, emit_json(payload))
     else:
         _write(
-            config,
+            args,
             f"count={count} expected={expected} {'ok' if ok else 'MISMATCH'}\n",
         )
     return 0 if ok else CHECK_FAILED
-
-
-_DISPATCH = {
-    "basis": _run_basis,
-    "bernoulli": _run_bernoulli,
-    "verify": _run_verify,
-    "det": _run_det,
-    "lemmas": _run_lemmas,
-    "oracle-dims": _run_oracle_dims,
-    "oracle-charpoly": _run_oracle_charpoly,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit status."""
-    handler = _DISPATCH.get(config.command)
-    if handler is None:
-        print(f"unknown command: {config.command}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        if config.out:
-            # appending nothing fails on a path that cannot be written, as
-            # a shell redirection does, before any work; it creates a
-            # missing file and leaves an existing one as it is
-            _write(config, "", mode="a")
-        return handler(config)
-    except (ValueError, IndexError, OutputPathError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -268,18 +213,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, ell=True):
+    def add_common(p, handler, ell=True):
         if ell:
             p.add_argument("--ell", type=int, required=True, help="rank (>= 2)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to a file")
+        p.set_defaults(handler=handler)
 
-    add_common(sub.add_parser("basis", help="emit the basis derivations"))
+    add_common(sub.add_parser("basis", help="emit the basis derivations"), _run_basis)
 
     p_bern = sub.add_parser("bernoulli", help="print B_{p,q} and its homogenization")
     p_bern.add_argument("--p", type=int, required=True)
     p_bern.add_argument("--q", type=int, required=True)
-    add_common(p_bern, ell=False)
+    add_common(p_bern, _run_bernoulli, ell=False)
 
     p_verify = sub.add_parser("verify", help="run the full Saito verification")
     p_verify.add_argument("--method", choices=("auto", "expand", "certify"), default="auto")
@@ -287,49 +233,42 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="include the determinant terms in JSON output")
     p_verify.add_argument("--timings", action="store_true",
                           help="include per-phase timings (non-deterministic)")
-    add_common(p_verify)
+    add_common(p_verify, _run_verify)
 
     p_det = sub.add_parser("det", help="print det[phi_j(x_i)]")
     p_det.add_argument("--algorithm", choices=("minors", "bareiss"), default="minors")
-    add_common(p_det)
+    add_common(p_det, _run_det)
 
-    add_common(sub.add_parser("lemmas", help="check the divisibility identities"))
+    add_common(sub.add_parser("lemmas", help="check the divisibility identities"), _run_lemmas)
 
     p_oracle = sub.add_parser("oracle", help="independent brute-force checks")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
     p_dims = oracle_sub.add_parser("dims", help="graded dimension comparison")
     p_dims.add_argument("--max-degree", type=int, required=True)
-    add_common(p_dims)
+    add_common(p_dims, _run_oracle_dims)
     p_char = oracle_sub.add_parser("charpoly", help="finite-field point count")
     p_char.add_argument("--q", type=int, required=True, help="odd prime modulus")
-    add_common(p_char)
+    add_common(p_char, _run_oracle_charpoly)
 
     return parser
 
 
-def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
-    args = _build_parser().parse_args(argv)
-    command = args.command
-    if command == "oracle":
-        command = f"oracle-{args.oracle_command}"
-    return RunConfig(
-        command=command,
-        ell=getattr(args, "ell", None),
-        p=getattr(args, "p", None),
-        q=getattr(args, "q", None) if command == "bernoulli" else None,
-        d=getattr(args, "max_degree", None),
-        prime=getattr(args, "q", None) if command == "oracle-charpoly" else None,
-        method=getattr(args, "method", "auto"),
-        algorithm=getattr(args, "algorithm", "minors"),
-        format=getattr(args, "format", "text"),
-        out=getattr(args, "out", None),
-        include_det=getattr(args, "include_det", False),
-        include_timing=getattr(args, "timings", False),
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    return run(parse_args(argv))
+    """Parse argv and run its subcommand; returns the process exit status."""
+    args = _build_parser().parse_args(argv)
+    try:
+        if args.out:
+            # appending nothing fails on a path that cannot be written, as
+            # a shell redirection does, before any work; it creates a
+            # missing file and leaves an existing one as it is
+            _write(args, "", mode="a")
+        return args.handler(args)
+    except (ValueError, IndexError, OutputPathError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

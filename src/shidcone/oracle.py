@@ -28,7 +28,7 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .arrangement import restriction_table, shi_d_cone
-from .exactpoly import _pack, _unpack, clear_denominators
+from .exactpoly import FIELD_MASK, _pack, _unpack, clear_denominators
 from .shi_basis import Derivation, basis
 
 POINT_ENUMERATION_CAP = 10**7
@@ -163,10 +163,14 @@ def derivation_dim(ell: int, d: int) -> int:
 
 
 def graded_dims(ell: int, max_degree: int) -> list[GradedDimReport]:
-    """One report per degree 0..max_degree; an empty range is refused, so
-    no invalid input passes as an empty list of checks."""
+    """One report per degree 0..max_degree.  An empty range is refused, so
+    no invalid input passes as an empty list of checks; so is a degree past
+    FIELD_MASK, which restriction_table cannot build, before any lower
+    degree is computed."""
     if ell < 2 or max_degree < 0:
         raise ValueError("require ell >= 2 and max_degree >= 0")
+    if max_degree > FIELD_MASK:
+        raise ValueError(f"max_degree {max_degree} needs exponents above {FIELD_MASK}")
     return [
         GradedDimReport(ell, d, derivation_dim(ell, d), expected_dim(ell, d))
         for d in range(max_degree + 1)

@@ -36,16 +36,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .bernoulli import make_bernoulli
 from .exactpoly import (
     FIELD_MASK,
-    ExponentOverflowError,
     Poly,
     _pack,
     _reduced,
+    _unpack,
     default_names,
     divide_by_variable,
     elementary_symmetric,
@@ -185,7 +185,7 @@ def _build_phi(j: int, ell: int) -> Derivation:
     # each product below is homogeneous of degree at most 2l (x_i * inner
     # sum * prefactor), and no exponent exceeds its term's total degree
     if 2 * ell > FIELD_MASK:
-        raise ExponentOverflowError(f"rank {ell} needs exponents above {FIELD_MASK}")
+        raise ValueError(f"rank {ell} needs exponents above {FIELD_MASK}")
     z = Poly.variable(nvars, nvars - 1)
     if j < ell:
         prefactor = Poly.variable(nvars, j - 1) - Poly.variable(nvars, j) - z
@@ -277,11 +277,15 @@ def apply(theta: Derivation, f: Poly) -> Poly:
 
 def poly_terms_json(poly: Poly) -> list:
     """[[exponent array, "num", "den"], ...] in descending pure-lex order,
-    integers rendered as decimal strings."""
-    return [
-        [list(mono), str(c.numerator), str(c.denominator)]
-        for mono, c in poly.terms()
-    ]
+    integers rendered as decimal strings.  Each term is read from the stored
+    integers, reduced by the gcd of its coefficient and the denominator."""
+    terms, den = poly._terms, poly._den
+    out = []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        g = gcd(c, den)
+        out.append([list(_unpack(key, poly.nvars)), str(c // g), str(den // g)])
+    return out
 
 
 def derivation_to_dict(theta: Derivation) -> dict:

@@ -3,9 +3,12 @@ import json
 
 import pytest
 
-from shidcone.cli import RunConfig, main, parse_args, run
+from shidcone.cli import main
 from shidcone.shi_basis import basis, derivation_from_dict
 from shidcone.verify import saito_verify
+
+
+_EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 
 
 def invoke(capsys, *argv):
@@ -100,6 +103,30 @@ def test_bernoulli_degree_past_the_exponent_limit_is_a_usage_error(capsys):
     assert "255" in err
     status, _, _ = invoke(capsys, "bernoulli", "--p", "1", "--q", "127")
     assert status == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "basis --ell 128",
+        "verify --ell 128",
+        "det --ell 128",
+        "oracle dims --ell 2 --max-degree 256",
+    ],
+)
+def test_input_past_the_exponent_field_is_a_usage_error(capsys, monkeypatch, argv):
+    # rank 128 needs exponents 2 * 128 = 256, and degree 256 cannot be
+    # packed either: each is refused before any degree is computed
+    import shidcone.oracle as oracle_mod
+
+    def must_not_run(ell, d):
+        raise AssertionError("a degree was computed")
+
+    monkeypatch.setattr(oracle_mod, "derivation_dim", must_not_run)
+    status, out, err = invoke(capsys, *argv.split())
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and "255" in err
 
 
 def test_det_golden_text(capsys):
@@ -209,33 +236,57 @@ def test_unwritable_out_file_is_refused_before_the_check(tmp_path, capsys, monke
     assert err.startswith(f"error: cannot write {path}: ")
 
 
+# status, sha256 of stdout and the exact stderr of invocations that no other
+# test pins, recorded before the front end was rewritten
+_INVOCATION_PINS = {
+    "verify --ell 3": (0, "4431621ad380df4c2bd36b4bdf47178d2e0356e324be116b30ca153aae18453e", ""),
+    "verify --ell 3 --format json": (
+        0, "36213ea665e04e7223525781327b972b0d5ffbc932514d9a25aee30cf7d712f2", ""),
+    "lemmas --ell 3": (0, "6161f9d5978568b42ec18d1d30b53ad3aa13e0e0f25368c1b479fdab97b9b962", ""),
+    "lemmas --ell 3 --format json": (
+        0, "5e624ee0c804dc832d99e58ff5ac04e4d3cb4951f0b98ff583eb24367c367870", ""),
+    "oracle dims --ell 2 --max-degree 4": (
+        0, "deb205cd6dfef1aeedf5a1f1446f79b20cd5fbb515fc938be9d10ddb2951477b", ""),
+    "oracle dims --ell 2 --max-degree 4 --format json": (
+        0, "796d8af3d3b56c0623907d0356176f77030843f6bc578dd7532725139dbf47d0", ""),
+    "oracle charpoly --ell 3 --q 11": (
+        0, "096bfaf06649a789ffe79ac28610aa16d45aeab74a029e4c6f8ef97757a77235", ""),
+    "oracle charpoly --ell 3 --q 11 --format json": (
+        0, "b0622be57e551a0af11e17ee26a28d2f94d12d74be0bd40e22f021b55b8b9c6c", ""),
+    "bernoulli --p 3 --q 2": (
+        0, "ff3998adbc014431a9049a76a3138957ea6e6c7c9775ac877a7fb5c8ce6b503a", ""),
+    "verify --ell 1": (2, _EMPTY_SHA256, "error: ell must be >= 2\n"),
+    "bernoulli --p -2 --q 0": (2, _EMPTY_SHA256, "error: require p >= -1 and q >= 0\n"),
+    "oracle dims --ell 1 --max-degree -1": (
+        2, _EMPTY_SHA256, "error: require ell >= 2 and max_degree >= 0\n"),
+    "oracle charpoly --ell 3 --q 4": (2, _EMPTY_SHA256, "error: q = 4 is not an odd prime\n"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_INVOCATION_PINS))
+def test_invocation_is_pinned(capsys, argv):
+    status, out, err = invoke(capsys, *argv.split())
+    assert (status, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == _INVOCATION_PINS[argv]
+
+
 def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
-    path = tmp_path / "basis.json"
-    path.write_text("old content that must go\n")
-    argv = ["basis", "--ell", "3", "--format", "json"]
-    _, expected, _ = invoke(capsys, *argv)
-    status, out, _ = invoke(capsys, *argv, "--out", str(path))
-    assert status == 0 and out == ""
-    assert path.read_bytes() == expected.encode("utf-8")
+    path = tmp_path / "out"
+    passing = sorted(a for a, (status, _, _) in _INVOCATION_PINS.items() if status == 0)
+    extra = ["basis --ell 3 --format json", "det --ell 3 --algorithm bareiss --format json"]
+    for argv in extra + passing:
+        path.write_text("old content that must go\n")
+        _, expected, _ = invoke(capsys, *argv.split())
+        status, out, _ = invoke(capsys, *argv.split(), "--out", str(path))
+        assert status == 0 and out == "", argv
+        assert path.read_bytes() == expected.encode("utf-8"), argv
 
 
 def test_missing_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
-
-
-def test_parse_args_normalizes_oracle_commands():
-    cfg = parse_args(["oracle", "charpoly", "--ell", "3", "--q", "7"])
-    assert cfg.command == "oracle-charpoly"
-    assert cfg.prime == 7 and cfg.q is None
-    cfg = parse_args(["oracle", "dims", "--ell", "2", "--max-degree", "4"])
-    assert cfg.command == "oracle-dims"
-    assert cfg.d == 4
-
-
-def test_run_unknown_command(capsys):
-    assert run(RunConfig(command="nope")) == 2
+    # argparse's usage text varies across Python versions; the status does not
+    for argv in ([], ["nope"], ["oracle"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 # sha256 of `shidcone basis --ell L --format json`.  Only rank 2 has golden
@@ -258,7 +309,8 @@ def test_basis_json_is_pinned(capsys, ell):
 
 
 # sha256 of the outputs that pass through the kernel and back into a Poly:
-# `verify --method M --format json --include-det` and `det --format json`.
+# `verify --method M --format json --include-det` and
+# `det [--algorithm M] --format json`.
 _KERNEL_JSON_SHA256 = {
     ("verify", "expand", 3): "10d50e2173b9a8309211ab5c8701fca593a073ac2690dbb230653db52a66d026",
     ("verify", "certify", 3): "73c10b03a5bcc4a4d8a81b0ca79a66c7af22655afb6d80935e7feef2fc95e21e",
@@ -266,6 +318,7 @@ _KERNEL_JSON_SHA256 = {
     ("verify", "certify", 4): "3ad47468151fe5ebcb67e93ab89294ddf72c7fe6190f32c43af7eb0df2062f16",
     ("det", None, 3): "879710affc08179837a6a059daf6c3abd49ffd145f37f57539862ca113860587",
     ("det", None, 4): "9d8f462dd8cfc8ccbbd108661cb70fe518216886a0515a2c116bc58ee60247d1",
+    ("det", "bareiss", 3): "879710affc08179837a6a059daf6c3abd49ffd145f37f57539862ca113860587",
 }
 
 
@@ -274,6 +327,8 @@ def test_kernel_json_is_pinned(capsys, command, method, ell):
     argv = [command, "--ell", str(ell), "--format", "json"]
     if command == "verify":
         argv += ["--method", method, "--include-det"]
+    elif method:
+        argv += ["--algorithm", method]
     status, out, _ = invoke(capsys, *argv)
     assert status == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
