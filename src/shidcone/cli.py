@@ -11,7 +11,15 @@ an internal error (any other exception, reported on stderr as
 JSON output is canonical: stable field order, big integers rendered as
 decimal strings, monomials as exponent arrays; byte-identical across runs
 for identical inputs (timings are only included on request, since they
-vary run to run).
+vary run to run).  One writer, ``emit_json``, lays every payload out as
+``json.dumps(indent=2, ensure_ascii=False)`` would.  Handlers pass each
+polynomial as its ``Poly``, and ``shi_basis.poly_terms_text`` writes its
+terms straight from the stored integers, one %-template per term, so the
+nested term lists of ``poly_terms_json`` are never built.  The writer does
+not call ``json.dumps(indent=2)`` on the whole payload because CPython's
+C encoder only runs with ``indent=None``: with any indent the pure-Python
+encoder takes over, and it took about twice as long as building the
+201,865-term list of the rank-5 determinant.
 
 To add a subcommand, add one ``add_parser`` and pass it to ``add_common``
 with its ``_run_x``, which ``set_defaults(handler=_run_x)`` attaches.  The
@@ -29,9 +37,9 @@ from dataclasses import asdict
 from typing import Sequence
 
 from .bernoulli import make_bernoulli
-from .exactpoly import default_names
+from .exactpoly import Poly, default_names
 from .oracle import charpoly_count, expected_count, graded_dims
-from .shi_basis import basis, derivation_to_dict, poly_terms_json
+from .shi_basis import basis, poly_terms_text
 from .verify import (
     bareiss_det,
     coefficient_matrix,
@@ -46,8 +54,37 @@ INTERNAL_ERROR = 3
 
 
 def emit_json(obj) -> str:
-    """Canonical JSON serialization (stable order, trailing newline)."""
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON serialization (stable order, trailing newline): the
+    text of ``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``, where
+    each ``Poly`` in obj stands for its ``poly_terms_json`` term list."""
+    out: list[str] = []
+    _write_json(out, obj, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(out: list[str], value, depth: int) -> None:
+    """Append value, nested ``depth`` levels deep, as json.dumps(indent=2)
+    lays it out."""
+    if isinstance(value, Poly):
+        out.append(poly_terms_text(value, depth))
+    elif isinstance(value, dict) and value:
+        inner = "\n" + "  " * (depth + 1)
+        for n, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(("," if n else "{") + inner + json.dumps(key, ensure_ascii=False) + ": ")
+            _write_json(out, item, depth + 1)
+        out.append("\n" + "  " * depth + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = "\n" + "  " * (depth + 1)
+        for n, item in enumerate(value):
+            out.append(("," if n else "[") + inner)
+            _write_json(out, item, depth + 1)
+        out.append("\n" + "  " * depth + "]")
+    else:
+        # scalars, {} and []
+        out.append(json.dumps(value, ensure_ascii=False))
 
 
 class OutputPathError(Exception):
@@ -71,7 +108,16 @@ def _write(args: argparse.Namespace, text: str, mode: str = "w") -> None:
 def _run_basis(args: argparse.Namespace) -> int:
     derivs = basis(args.ell)
     if args.format == "json":
-        _write(args, emit_json([derivation_to_dict(d) for d in derivs]))
+        # derivation_to_dict's keys, with each coefficient left a Poly
+        payload = [
+            {
+                "ell": d.ell,
+                "name": d.name,
+                "coeffs": dict(zip(default_names(d.nvars), d.coefficients())),
+            }
+            for d in derivs
+        ]
+        _write(args, emit_json(payload))
         return 0
     lines = []
     for d in derivs:
@@ -99,7 +145,7 @@ def _run_bernoulli(args: argparse.Namespace) -> int:
             "q": br.q,
             "is_negative_one_zero": False,
             "univariate": univariate,
-            "homogenized": poly_terms_json(br.homogenized),
+            "homogenized": br.homogenized,
         }
         _write(args, emit_json(payload))
         return 0
@@ -113,7 +159,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = report.summary_dict(include_timing=args.timings)
         if args.include_det:
-            payload["det_phi"] = poly_terms_json(report.det_phi)
+            payload["det_phi"] = report.det_phi
         _write(args, emit_json(payload))
     else:
         lines = [
@@ -141,7 +187,7 @@ def _run_det(args: argparse.Namespace) -> int:
     else:
         det = minor_expansion_det(matrix)
     if args.format == "json":
-        _write(args, emit_json({"ell": args.ell, "det": poly_terms_json(det)}))
+        _write(args, emit_json({"ell": args.ell, "det": det}))
     else:
         _write(args, det.render() + "\n")
     return 0

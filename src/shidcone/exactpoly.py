@@ -76,11 +76,8 @@ def _pack(exps: Sequence[int]) -> int:
 
 
 def _unpack(key: int, nvars: int) -> Monomial:
-    exps = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        exps[i] = key & FIELD_MASK
-        key >>= FIELD_BITS
-    return tuple(exps)
+    # FIELD_BITS = 8: one byte per exponent, x1 in the most significant one
+    return tuple(key.to_bytes(nvars, "big"))
 
 
 def _key_degree(key: int) -> int:

@@ -174,6 +174,17 @@ def _subset_weight(K1: Sequence[int], K2: Sequence[int], nvars: int) -> dict[int
     return {_pack(exps): (-1) ** len(K1)}
 
 
+def check_rank_fits(ell: int) -> None:
+    """Raise ValueError when phi_1..phi_ell need exponents past FIELD_MASK.
+
+    Each product that builds a phi coefficient is homogeneous of degree at
+    most 2l (x_i * inner sum * prefactor), and no exponent exceeds its
+    term's total degree.
+    """
+    if 2 * ell > FIELD_MASK:
+        raise ValueError(f"rank {ell} needs exponents above {FIELD_MASK}")
+
+
 def _build_phi(j: int, ell: int) -> Derivation:
     """phi_j for 1 <= j <= ell, from the one formula of the module doc.
 
@@ -181,11 +192,8 @@ def _build_phi(j: int, ell: int) -> Derivation:
     integer term dict under the common denominator of the Bbar's, and one
     Poly is built at the end.
     """
+    check_rank_fits(ell)
     nvars = ell + 1
-    # each product below is homogeneous of degree at most 2l (x_i * inner
-    # sum * prefactor), and no exponent exceeds its term's total degree
-    if 2 * ell > FIELD_MASK:
-        raise ValueError(f"rank {ell} needs exponents above {FIELD_MASK}")
     z = Poly.variable(nvars, nvars - 1)
     if j < ell:
         prefactor = Poly.variable(nvars, j - 1) - Poly.variable(nvars, j) - z
@@ -286,6 +294,26 @@ def poly_terms_json(poly: Poly) -> list:
         g = gcd(c, den)
         out.append([list(_unpack(key, poly.nvars)), str(c // g), str(den // g)])
     return out
+
+
+def poly_terms_text(poly: Poly, depth: int) -> str:
+    """The text of json.dumps(poly_terms_json(poly), indent=2) for a value at
+    nesting depth ``depth``, written from the stored integers with no term
+    list built: the same terms, order and reduction as poly_terms_json."""
+    terms, den, nvars = poly._terms, poly._den, poly.nvars
+    if not terms:
+        return "[]"
+    # one term as json.dumps lays it out, with a %d for each exponent, the
+    # numerator and the denominator
+    i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
+    exps = "[" + ",".join(i3 + "%d" for _ in range(nvars)) + i2 + "]"
+    template = f'{i1}[{i2}{exps},{i2}"%d",{i2}"%d"{i1}]'
+    out = []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        g = gcd(c, den)
+        out.append(template % (*_unpack(key, nvars), c // g, den // g))
+    return "[" + ",".join(out) + i0 + "]"
 
 
 def derivation_to_dict(theta: Derivation) -> dict:

@@ -87,7 +87,7 @@ from .exactpoly import (
     fma_terms,
     split_by_variable,
 )
-from .shi_basis import Derivation, _x_bernoulli, basis
+from .shi_basis import Derivation, _x_bernoulli, basis, check_rank_fits
 
 _F1 = Fraction(1)
 
@@ -511,6 +511,8 @@ def saito_verify(
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         method = "expand" if ell <= 5 else "certify"
+    # refused before the arrangement, whose forms alone take 0.4 s at rank 128
+    check_rank_fits(ell)
     timing: dict[str, float] = {}
     t0 = time.perf_counter()
 

@@ -116,13 +116,19 @@ def test_bernoulli_degree_past_the_exponent_limit_is_a_usage_error(capsys):
 )
 def test_input_past_the_exponent_field_is_a_usage_error(capsys, monkeypatch, argv):
     # rank 128 needs exponents 2 * 128 = 256, and degree 256 cannot be
-    # packed either: each is refused before any degree is computed
+    # packed either: each is refused before any degree is computed, and
+    # verify before it builds the arrangement
     import shidcone.oracle as oracle_mod
+    import shidcone.verify as verify_mod
 
     def must_not_run(ell, d):
         raise AssertionError("a degree was computed")
 
+    def no_arrangement(ell):
+        raise AssertionError("the arrangement was built")
+
     monkeypatch.setattr(oracle_mod, "derivation_dim", must_not_run)
+    monkeypatch.setattr(verify_mod, "shi_d_cone", no_arrangement)
     status, out, err = invoke(capsys, *argv.split())
     assert status == 2
     assert out == ""
@@ -255,6 +261,8 @@ _INVOCATION_PINS = {
         0, "b0622be57e551a0af11e17ee26a28d2f94d12d74be0bd40e22f021b55b8b9c6c", ""),
     "bernoulli --p 3 --q 2": (
         0, "ff3998adbc014431a9049a76a3138957ea6e6c7c9775ac877a7fb5c8ce6b503a", ""),
+    "bernoulli --p 3 --q 2 --format json": (
+        0, "d0dd54638395a1723a971b57c69579fd2f3ca011d8d01bd1604fd7f2939deaf7", ""),
     "verify --ell 1": (2, _EMPTY_SHA256, "error: ell must be >= 2\n"),
     "bernoulli --p -2 --q 0": (2, _EMPTY_SHA256, "error: require p >= -1 and q >= 0\n"),
     "oracle dims --ell 1 --max-degree -1": (
@@ -267,6 +275,16 @@ _INVOCATION_PINS = {
 def test_invocation_is_pinned(capsys, argv):
     status, out, err = invoke(capsys, *argv.split())
     assert (status, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == _INVOCATION_PINS[argv]
+
+
+def test_json_timings_are_floats_beside_the_untimed_payload(capsys):
+    _, untimed, _ = invoke(capsys, "verify", "--ell", "3", "--format", "json")
+    status, timed, _ = invoke(capsys, "verify", "--ell", "3", "--format", "json", "--timings")
+    assert status == 0
+    payload = json.loads(timed)
+    timing = payload.pop("timing")
+    assert timing and all(type(secs) is float for secs in timing.values())
+    assert list(payload.items()) == list(json.loads(untimed).items())
 
 
 def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
@@ -333,3 +351,28 @@ def test_kernel_json_is_pinned(capsys, command, method, ell):
     assert status == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == _KERNEL_JSON_SHA256[(command, method, ell)]
+
+
+def test_json_commands_build_no_term_lists(capsys, monkeypatch):
+    # every polynomial is written from its stored integers: no handler
+    # builds poly_terms_json's nested lists first
+    import shidcone.cli as cli_mod
+    import shidcone.shi_basis as shi_basis_mod
+
+    def must_not_run(*args):
+        raise AssertionError("a term list was built")
+
+    monkeypatch.setattr(shi_basis_mod, "poly_terms_json", must_not_run)
+    for name in ("poly_terms_json", "derivation_to_dict"):
+        monkeypatch.setattr(cli_mod, name, must_not_run, raising=False)
+    pins = {
+        "verify --ell 3 --method expand --include-det": _KERNEL_JSON_SHA256[("verify", "expand", 3)],
+        "verify --ell 3 --method certify --include-det": _KERNEL_JSON_SHA256[("verify", "certify", 3)],
+        "det --ell 3": _KERNEL_JSON_SHA256[("det", None, 3)],
+        "bernoulli --p 3 --q 2": _INVOCATION_PINS["bernoulli --p 3 --q 2 --format json"][1],
+        "basis --ell 3": _BASIS_JSON_SHA256[3],
+    }
+    for argv, pin in pins.items():
+        status, out, err = invoke(capsys, *argv.split(), "--format", "json")
+        assert (status, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pin, argv
