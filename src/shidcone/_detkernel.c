@@ -14,7 +14,12 @@
  * onto a tenth of the home slots; a nearly additive hash (h(a + b) close to
  * h(a) + h(b), as the top bits of key * phi are) makes sdc_fma, which inserts
  * ka + kb while walking a in slot order, fill the accumulator in nearly
- * sorted slot order and build one long probe run.
+ * sorted slot order and build one long probe run.  Spread at random, the
+ * sums of sdc_fma miss the cache on almost every insert, so its loop
+ * prefetches the home slot of the sum PREFETCH_AHEAD inserts ahead.
+ *
+ * Each table counts its nonzero slots, so sdc_nnz is O(1): the determinant
+ * DP asks for it twice per (subset, position).
  *
  * The ABI is flat so that ctypes can call it: tables are opaque pointers,
  * keys are int64, and a 128-bit value crosses as a pair of 64-bit words
@@ -33,6 +38,7 @@ typedef struct {
     acc_t *vals;
     int64_t cap;   /* power of two */
     int64_t n;     /* occupied slots, including cancelled-to-zero ones */
+    int64_t nnz;   /* occupied slots with a nonzero value */
 } sdc_tab;
 
 static acc_t join(uint64_t lo, int64_t hi) {
@@ -50,7 +56,7 @@ static int tab_init(sdc_tab *t, int64_t cap_hint) {
     }
     memset(t->keys, 0xFF, (size_t)cap * sizeof(int64_t));
     t->cap = cap;
-    t->n = 0;
+    t->n = t->nnz = 0;
     return 0;
 }
 
@@ -64,9 +70,13 @@ static uint64_t mix64(uint64_t h) {
     return h;
 }
 
+static int64_t tab_home(const sdc_tab *t, int64_t key) {
+    return (int64_t)mix64((uint64_t)key) & (t->cap - 1);
+}
+
 static int64_t tab_slot(const sdc_tab *t, int64_t key) {
     int64_t mask = t->cap - 1;
-    int64_t i = (int64_t)mix64((uint64_t)key) & mask;
+    int64_t i = tab_home(t, key);
     while (t->keys[i] != -1 && t->keys[i] != key)
         i = (i + 1) & mask;
     return i;
@@ -84,6 +94,7 @@ static int tab_grow(sdc_tab *t) {
             nt.n++;
         }
     }
+    nt.nnz = nt.n;
     free(t->keys); free(t->vals);
     *t = nt;
     return 0;
@@ -92,12 +103,15 @@ static int tab_grow(sdc_tab *t) {
 static int tab_add(sdc_tab *t, int64_t key, acc_t v) {
     int64_t i = tab_slot(t, key);
     if (t->keys[i] == key) {
-        t->vals[i] += v;
+        acc_t old = t->vals[i];
+        t->vals[i] = old + v;
+        t->nnz += (old == 0) - (t->vals[i] == 0);
         return 0;
     }
     t->keys[i] = key;
     t->vals[i] = v;
     t->n++;
+    t->nnz += v != 0;
     if (t->n * 5 >= t->cap * 3)
         return tab_grow(t);
     return 0;
@@ -129,10 +143,7 @@ int sdc_load(sdc_tab *t, int64_t n, const int64_t *keys,
 }
 
 int64_t sdc_nnz(const sdc_tab *t) {
-    int64_t i, n = 0;
-    for (i = 0; i < t->cap; i++)
-        if (t->keys[i] != -1 && t->vals[i] != 0) n++;
-    return n;
+    return t->nnz;
 }
 
 /* Writes the nonzero terms (sdc_nnz of them) to the three arrays. */
@@ -164,9 +175,26 @@ int sdc_maxbits(const sdc_tab *t) {
     return bits;
 }
 
-/* acc += sign * a * b; acc must be neither a nor b. */
+/* Index of the first slot at or after i holding a nonzero value (t->cap
+ * when there is none). */
+static int64_t next_live(const sdc_tab *t, int64_t i) {
+    while (i < t->cap && (t->keys[i] == -1 || t->vals[i] == 0)) i++;
+    return i;
+}
+
+/* Inserts between a prefetch of a sum's home slot and the insert itself. */
+#define PREFETCH_AHEAD 16
+
+/* acc += sign * a * b; acc must be neither a nor b.
+ *
+ * The sums ka + kb land on random slots of a table far larger than the
+ * cache, so each insert waits on memory.  While inserting one sum the loop
+ * prefetches the home slot of the sum PREFETCH_AHEAD inserts later, which
+ * at the end of a row of b is in the next row (the next live key of a).
+ * A growth of acc in between only makes that prefetch useless, never
+ * wrong: the insert looks its slot up again. */
 int sdc_fma(sdc_tab *acc, const sdc_tab *a, const sdc_tab *b, int sign) {
-    int64_t bn = sdc_nnz(b), i, ia, ib, j = 0;
+    int64_t bn = b->nnz, i, ia, ib, j = 0;
     int64_t *bk;
     acc_t *bv;
     int rc = 0;
@@ -184,19 +212,27 @@ int sdc_fma(sdc_tab *acc, const sdc_tab *a, const sdc_tab *b, int sign) {
             j++;
         }
     }
-    for (ia = 0; ia < a->cap && rc == 0; ia++) {
-        int64_t ka = a->keys[ia];
-        acc_t va;
-        if (ka == -1) continue;
-        va = a->vals[ia];
-        if (va == 0) continue;
-        if (sign < 0) va = -va;
+    for (ia = next_live(a, 0); ia < a->cap && rc == 0;) {
+        int64_t ka = a->keys[ia], next = next_live(a, ia + 1);
+        int64_t kn = next < a->cap ? a->keys[next] : -1;
+        acc_t va = sign < 0 ? -a->vals[ia] : a->vals[ia];
         for (ib = 0; ib < bn; ib++) {
+            int64_t jb = ib + PREFETCH_AHEAD, kp = ka;
+            if (jb >= bn) {
+                jb -= bn;
+                kp = kn;
+            }
+            if (jb < bn && kp != -1) {
+                int64_t h = tab_home(acc, kp + bk[jb]);
+                __builtin_prefetch(&acc->keys[h], 1);
+                __builtin_prefetch(&acc->vals[h], 1);
+            }
             if (tab_add(acc, ka + bk[ib], va * bv[ib])) {
                 rc = -1;
                 break;
             }
         }
+        ia = next;
     }
     free(bk); free(bv);
     return rc;

@@ -37,7 +37,12 @@ rank-5 reduced determinant took 20,915 home slots of 2^19, against about
 188,700 for a random hash), and a nearly additive hash, h(a + b) close to
 h(a) + h(b) as for the top bits of ``key * phi``, sends the sums ``ka + kb``
 that ``fma`` inserts in slot order of ``a`` into nearly sorted slots, one
-long probe run.
+long probe run.  With keys spread at random, each insert of ``fma`` waits on
+a cache miss, so the loop prefetches the home slot of the sum 16 inserts
+ahead (running on into the next key of ``a``).  That cut the traced
+``fma`` time per term pair of rank-5 ``expand`` by about a quarter (28-40
+ns before, 22-31 ns after, three runs each on a shared 2-vCPU VM); a table
+that grows meanwhile only wastes that prefetch.
 
 The C file is compiled with the system C compiler on first import, into
 ``$XDG_CACHE_HOME/shidcone`` (default ``~/.cache/shidcone``) under a name
@@ -54,7 +59,9 @@ Determinants are computed by minor expansion over column subsets
 k x k minor, and each multiplication pairs a minor with an *original*
 matrix entry, which measured orders of magnitude faster on these sparse
 matrices than fraction-free elimination whose exact divisions pair two
-large intermediates.
+large intermediates.  The last row multiplies the largest minors, so the
+work depends on the row order the caller picks; each minor is freed after
+its last use.
 """
 
 from __future__ import annotations
@@ -420,11 +427,16 @@ def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> IntPolyL
     check_field_room([k for entry in row for k in entry.to_dict()] for row in rows)
     minors = {(): impl.from_dict({0: 1})}
     for r in range(n):
+        # each r-subset's minor is a sub-minor of the n - r subsets one
+        # larger, and is freed after the last of them, not with its level
+        uses = dict.fromkeys(minors, n - r)
         nxt = {}
         for subset in combinations(range(n), r + 1):
             acc = impl.from_dict({})
             for pos, col in enumerate(subset):
-                sub = minors[subset[:pos] + subset[pos + 1 :]]
+                key = subset[:pos] + subset[pos + 1 :]
+                uses[key] -= 1
+                sub = minors.pop(key) if uses[key] == 0 else minors[key]
                 entry = rows[r][col]
                 if sub.is_zero() or entry.is_zero():
                     continue

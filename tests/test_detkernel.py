@@ -243,6 +243,50 @@ def test_minor_expansion_near_the_field_limit(matrix):
             assert minor_expansion_det(matrix, fast=fast) == expected
 
 
+@st.composite
+def _growing_fma_operands(draw):
+    """(acc, a, b, sign) for ``acc += sign * a * b``.  The keys of a use x1
+    and x2 and those of b only z, so the 45 to 70 terms of each give at
+    least 2,025 distinct sums, and the accumulator grows several times
+    within one call.  acc holds the negated products of some pairs, which
+    cancel to zero during the call, and further terms of either sign."""
+    coeff = st.integers(-(1 << 40), 1 << 40).filter(bool)
+    a_key = st.tuples(st.integers(0, 60), st.integers(0, 60)).map(lambda e: _pack((*e, 0)))
+    b_key = st.integers(0, 100).map(lambda e: _pack((0, 0, e)))
+    a = draw(st.dictionaries(a_key, coeff, min_size=45, max_size=70))
+    b = draw(st.dictionaries(b_key, coeff, min_size=45, max_size=70))
+    sign = draw(st.sampled_from((1, -1)))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(list(a)), st.sampled_from(list(b)))))
+    acc = {ka + kb: -sign * a[ka] * b[kb] for ka, kb in pairs}
+    sum_key = st.builds(lambda ka, kb: ka + kb, a_key, b_key)
+    acc.update(draw(st.dictionaries(sum_key, coeff, max_size=40)))
+    return acc, a, b, sign
+
+
+@_COMPILED
+@settings(max_examples=25, deadline=None)
+@given(_growing_fma_operands())
+def test_compiled_fma_matches_dict_fma_while_growing(operands):
+    # the compiled loop prefetches slots of a table that may grow before
+    # the insert; that must never change a sum or the count of nonzeros
+    acc, a, b, sign = operands
+    fast, slow = get_impl(fast=True), DictPoly
+    results = []
+    for impl in (slow, fast):
+        out = impl.from_dict(acc)
+        out.fma(impl.from_dict(a), impl.from_dict(b), sign)
+        results.append(out)
+    expected = results[0].to_dict()
+    assert len({ka + kb for ka in a for kb in b}) >= 2000
+    assert results[1].to_dict() == expected
+    assert results[1].nnz() == len(expected)
+    # the opposite sign takes every product back out, to zero where acc had none
+    results[1].fma(fast.from_dict(a), fast.from_dict(b), -sign)
+    start = {k: v for k, v in acc.items() if v}
+    assert results[1].to_dict() == start
+    assert results[1].nnz() == len(start)
+
+
 @_COMPILED
 def test_backends_agree_on_a_product_chain():
     # the rank-4 reduced right-hand product, then times z (key 1): the

@@ -9,6 +9,8 @@ from shidcone.exactpoly import ExponentOverflowError, Poly, divides, exact_div
 from shidcone.shi_basis import Derivation, apply, basis
 from shidcone.verify import (
     VerificationReport,
+    _column_reduced_int_matrix,
+    _det_expand,
     bareiss_det,
     check_membership,
     coefficient_matrix,
@@ -250,6 +252,32 @@ def test_saito_verify_expand(ell):
     )
     assert report.det_initial == expected_init
     assert report.det_leading_coefficient == report.det_constant
+
+
+@pytest.mark.parametrize(
+    "fast",
+    [
+        False,
+        pytest.param(
+            True,
+            marks=pytest.mark.skipif(
+                not detkernel.HAS_FAST_KERNEL, reason="compiled kernel only"
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_expand_head_is_the_row_order_determinant(cached_basis, ell, fast):
+    # expand runs the DP over the columns phi_l..phi_1 and folds the sign of
+    # that reversal, (-1)^(l(l-1)/2), into the denominator it hands back
+    impl = detkernel.get_impl(fast)
+    derivs = cached_basis(ell)
+    head, den, _, _ = _det_expand(ell, derivs, impl)[3]
+    rows, scale_prod, _ = _column_reduced_int_matrix(ell, derivs[1:], impl)
+    in_row_order = detkernel.det_minor_expansion(rows, impl).to_dict()
+    sign = {2: -1, 3: -1, 4: 1}[ell]
+    assert den == sign * scale_prod
+    assert head.to_dict() == {k: sign * v for k, v in in_row_order.items()}
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
