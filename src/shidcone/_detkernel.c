@@ -3,9 +3,10 @@
  * A polynomial is an open-addressing hash table mapping a packed monomial
  * key (int64, at most 56 bits used) to a 128-bit signed coefficient.  The
  * operations are the ones the determinant verification is hot on: fused
- * multiply-accumulate and scaled comparison.  All arithmetic is exact; the
- * Python wrapper (detkernel.IntPoly) validates keys and checks coefficient
- * bit bounds before every call, so nothing here wraps.
+ * multiply-accumulate and scaled comparison.  All arithmetic is exact: each
+ * addition and multiplication of values is checked where it happens, and one
+ * that would leave the signed 128-bit range is refused, never wrapped.  The
+ * Python wrapper (detkernel.IntPoly) validates keys and loaded values.
  *
  * A key lives at the slot given by the low bits of fmix64(key) (the
  * MurmurHash3 finalizer), found by linear probing.  Packed keys differ in a
@@ -24,7 +25,8 @@
  * The ABI is flat so that ctypes can call it: tables are opaque pointers,
  * keys are int64, and a 128-bit value crosses as a pair of 64-bit words
  * (lo unsigned, hi signed: value = hi * 2^64 + lo).  Functions returning
- * int report 0 on success and -1 when memory runs out.
+ * int report 0 on success, -1 when memory runs out and -2 when a value
+ * would overflow; an fma refused midway leaves a partial sum behind.
  */
 
 #include <stdint.h>
@@ -103,9 +105,10 @@ static int tab_grow(sdc_tab *t) {
 static int tab_add(sdc_tab *t, int64_t key, acc_t v) {
     int64_t i = tab_slot(t, key);
     if (t->keys[i] == key) {
-        acc_t old = t->vals[i];
-        t->vals[i] = old + v;
-        t->nnz += (old == 0) - (t->vals[i] == 0);
+        acc_t old = t->vals[i], sum;
+        if (__builtin_add_overflow(old, v, &sum)) return -2;
+        t->vals[i] = sum;
+        t->nnz += (old == 0) - (sum == 0);
         return 0;
     }
     t->keys[i] = key;
@@ -135,9 +138,10 @@ void sdc_free(sdc_tab *t) {
 int sdc_load(sdc_tab *t, int64_t n, const int64_t *keys,
              const uint64_t *lo, const int64_t *hi) {
     int64_t i;
+    int rc;
     for (i = 0; i < n; i++) {
         acc_t v = join(lo[i], hi[i]);
-        if (v && tab_add(t, keys[i], v)) return -1;
+        if (v && (rc = tab_add(t, keys[i], v))) return rc;
     }
     return 0;
 }
@@ -157,22 +161,6 @@ void sdc_dump(const sdc_tab *t, int64_t *keys, uint64_t *lo, int64_t *hi) {
             j++;
         }
     }
-}
-
-/* Bit length of the largest absolute coefficient. */
-int sdc_maxbits(const sdc_tab *t) {
-    acc_t m = 0;
-    int64_t i;
-    int bits = 0;
-    for (i = 0; i < t->cap; i++) {
-        acc_t v;
-        if (t->keys[i] == -1) continue;
-        v = t->vals[i];
-        if (v < 0) v = -v;
-        if (v > m) m = v;
-    }
-    while (m) { bits++; m >>= 1; }
-    return bits;
 }
 
 /* Index of the first slot at or after i holding a nonzero value (t->cap
@@ -215,7 +203,11 @@ int sdc_fma(sdc_tab *acc, const sdc_tab *a, const sdc_tab *b, int sign) {
     for (ia = next_live(a, 0); ia < a->cap && rc == 0;) {
         int64_t ka = a->keys[ia], next = next_live(a, ia + 1);
         int64_t kn = next < a->cap ? a->keys[next] : -1;
-        acc_t va = sign < 0 ? -a->vals[ia] : a->vals[ia];
+        acc_t va, term;
+        if (__builtin_mul_overflow(a->vals[ia], (acc_t)sign, &va)) {
+            rc = -2;
+            break;
+        }
         for (ib = 0; ib < bn; ib++) {
             int64_t jb = ib + PREFETCH_AHEAD, kp = ka;
             if (jb >= bn) {
@@ -227,10 +219,11 @@ int sdc_fma(sdc_tab *acc, const sdc_tab *a, const sdc_tab *b, int sign) {
                 __builtin_prefetch(&acc->keys[h], 1);
                 __builtin_prefetch(&acc->vals[h], 1);
             }
-            if (tab_add(acc, ka + bk[ib], va * bv[ib])) {
-                rc = -1;
+            if (__builtin_mul_overflow(va, bv[ib], &term)) {
+                rc = -2;
                 break;
             }
+            if ((rc = tab_add(acc, ka + bk[ib], term))) break;
         }
         ia = next;
     }
@@ -238,34 +231,37 @@ int sdc_fma(sdc_tab *acc, const sdc_tab *a, const sdc_tab *b, int sign) {
     return rc;
 }
 
-/* 1 iff ca * a == cb * b termwise, else 0. */
+/* 1 iff ca * a == cb * b termwise, else 0; -2 if a scaled value it
+ * compares would overflow. */
 int sdc_equal_scaled(const sdc_tab *a, const sdc_tab *b, int64_t ca, int64_t cb) {
     int64_t i;
     if (sdc_nnz(a) != sdc_nnz(b)) return 0;
     for (i = 0; i < a->cap; i++) {
         int64_t j;
+        acc_t sa, sb;
         if (a->keys[i] == -1 || a->vals[i] == 0) continue;
         j = tab_slot(b, a->keys[i]);
         if (b->keys[j] != a->keys[i]) return 0;
-        if ((acc_t)ca * a->vals[i] != (acc_t)cb * b->vals[j]) return 0;
+        if (__builtin_mul_overflow(a->vals[i], (acc_t)ca, &sa)
+            || __builtin_mul_overflow(b->vals[j], (acc_t)cb, &sb))
+            return -2;
+        if (sa != sb) return 0;
     }
     return 1;
 }
 
-/* Largest key with a nonzero coefficient, or -1 for the zero polynomial. */
-int64_t sdc_max_key(const sdc_tab *t) {
+/* The largest key with a nonzero coefficient, its value written to
+ * *lo, *hi; -1 and the value 0 for the zero polynomial. */
+int64_t sdc_lead(const sdc_tab *t, uint64_t *lo, int64_t *hi) {
     int64_t i, best = -1;
-    for (i = 0; i < t->cap; i++)
-        if (t->keys[i] != -1 && t->vals[i] != 0 && t->keys[i] > best)
+    acc_t v = 0;
+    for (i = 0; i < t->cap; i++) {
+        if (t->keys[i] != -1 && t->vals[i] != 0 && t->keys[i] > best) {
             best = t->keys[i];
+            v = t->vals[i];
+        }
+    }
+    *lo = (uint64_t)v;
+    *hi = (int64_t)(v >> 64);
     return best;
-}
-
-/* The coefficient of key (0 when absent), as out[0] = lo, out[1] = hi;
- * key must not be -1. */
-void sdc_get(const sdc_tab *t, int64_t key, int64_t *out) {
-    int64_t i = tab_slot(t, key);
-    acc_t v = t->keys[i] == key ? t->vals[i] : 0;
-    out[0] = (int64_t)(uint64_t)v;
-    out[1] = (int64_t)(v >> 64);
 }

@@ -18,16 +18,18 @@ The last two raise ExponentOverflowError where a packed exponent could
 carry into the next field (``exactpoly.check_field_room``).  Two
 interchangeable implementations provide the kernel polynomial
 (``IntPolyLike``: ``from_dict``, ``to_dict``, ``nnz``, ``is_zero``, ``fma``,
-``equal_scaled``, ``max_key``, ``get``):
+``equal_scaled``, ``lead``):
 
   * ``DictPoly`` — pure Python, dict[int, int]; any number of variables.
                    Its ``fma`` is ``exactpoly.fma_terms``, the package's
                    one loop over term pairs, which ``shi_basis`` calls
                    directly to sum the basis.
-  * ``IntPoly``  — open-addressing hash with 128-bit accumulators in the C
-                   file ``_detkernel.c``, called through ctypes; its int64
+  * ``IntPoly``  — open-addressing hash with signed 128-bit values in the
+                   C file ``_detkernel.c``, called through ctypes; its int64
                    keys must stay below 2^56 (``KEY_LIMIT``), so at most 7
-                   variables.
+                   variables.  The C code checks each addition and
+                   multiplication where it does it: leaving [-2^127, 2^127)
+                   raises OverflowError, and nothing wraps.
 
 The C table puts a key at the low bits of MurmurHash3's ``fmix64`` of the
 whole key and probes linearly.  Packed keys differ mostly in a few fields,
@@ -84,8 +86,7 @@ class IntPolyLike(Protocol):
     def is_zero(self) -> bool: ...
     def fma(self, a, b, sign: int) -> None: ...
     def equal_scaled(self, ca: int, other, cb: int) -> bool: ...
-    def max_key(self) -> int | None: ...
-    def get(self, key: int) -> int: ...
+    def lead(self) -> tuple[int, int] | None: ...
 
 
 class DictPoly:
@@ -129,17 +130,16 @@ class DictPoly:
                 return False
         return True
 
-    def max_key(self) -> int | None:
-        return max(self.d, default=None)
-
-    def get(self, key: int) -> int:
-        return self.d.get(key, 0)
+    def lead(self) -> tuple[int, int] | None:
+        key = max(self.d, default=None)
+        return None if key is None else (key, self.d[key])
 
 
 # -- compiled kernel -----------------------------------------------------------
 
 KEY_LIMIT = 1 << 56  # packed keys must stay below this
-_VALUE_LIMIT = 1 << 100  # loaded coefficients; leaves >= 26 bits headroom
+_VALUE_LIMIT = 1 << 127  # values lie in [-_VALUE_LIMIT, _VALUE_LIMIT)
+_INT64_LIMIT = 1 << 63
 _MASK64 = (1 << 64) - 1
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_detkernel.c")
@@ -155,11 +155,9 @@ _SIGNATURES = {
     "sdc_load": (c_int, [c_void_p, c_int64, _P64, POINTER(c_uint64), _P64]),
     "sdc_nnz": (c_int64, [c_void_p]),
     "sdc_dump": (None, [c_void_p, _P64, POINTER(c_uint64), _P64]),
-    "sdc_maxbits": (c_int, [c_void_p]),
     "sdc_fma": (c_int, [c_void_p, c_void_p, c_void_p, c_int]),
     "sdc_equal_scaled": (c_int, [c_void_p, c_void_p, c_int64, c_int64]),
-    "sdc_max_key": (c_int64, [c_void_p]),
-    "sdc_get": (None, [c_void_p, c_int64, _P64]),
+    "sdc_lead": (c_int64, [c_void_p, POINTER(c_uint64), _P64]),
 }
 
 
@@ -267,14 +265,24 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
 
 
 def _check_value(v: int) -> None:
-    if not -_VALUE_LIMIT < v < _VALUE_LIMIT:
-        raise OverflowError("coefficient does not fit the 128-bit kernel range")
+    if not -_VALUE_LIMIT <= v < _VALUE_LIMIT:
+        raise OverflowError("coefficient outside the kernel's range [-2**127, 2**127)")
+
+
+def _check(rc: int) -> int:
+    """The C function's result, or its failure code as an exception."""
+    if rc == -1:
+        raise MemoryError("IntPoly growth failed")
+    if rc == -2:
+        raise OverflowError("value left the kernel's range [-2**127, 2**127)")
+    return rc
 
 
 class IntPoly:
     """Packed-key integer polynomial backed by the C hash table of
-    ``_detkernel.c``.  Every entry point guards the 128-bit coefficient
-    range and raises OverflowError instead of wrapping."""
+    ``_detkernel.c``.  Values lie in [-2^127, 2^127): loading one outside
+    that range, or an ``fma`` or ``equal_scaled`` whose arithmetic would
+    leave it, raises OverflowError; nothing wraps."""
 
     __slots__ = ("_t",)
 
@@ -304,8 +312,7 @@ class IntPoly:
             keys = (c_int64 * n)(*d)
             lo = (c_uint64 * n)(*[v & _MASK64 for v in vals])
             hi = (c_int64 * n)(*[v >> 64 for v in vals])
-            if _lib.sdc_load(p._t, n, keys, lo, hi):
-                raise MemoryError("IntPoly growth failed")
+            _check(_lib.sdc_load(p._t, n, keys, lo, hi))
         return p
 
     def to_dict(self) -> dict:
@@ -321,39 +328,28 @@ class IntPoly:
         return _lib.sdc_nnz(self._t) == 0
 
     def fma(self, a: "IntPoly", b: "IntPoly", sign: int) -> None:
-        """self += sign * a * b   (sign must be +1 or -1)."""
+        """self += sign * a * b   (sign must be +1 or -1).
+
+        Raises OverflowError if a product or a sum would leave the value
+        range; self then holds a partial sum and must be discarded."""
         if sign != 1 and sign != -1:
             raise ValueError("sign must be +1 or -1")
         if a is self or b is self:
             raise ValueError("fma operands must not alias the accumulator")
-        # worst case: |acc| <= max|acc| + min(na, nb) * max|a| * max|b|
-        bits = _lib.sdc_maxbits(a._t) + _lib.sdc_maxbits(b._t)
-        if bits + 34 > 126 or _lib.sdc_maxbits(self._t) > 124:
-            raise OverflowError("fma would risk exceeding the 128-bit range")
-        if _lib.sdc_fma(self._t, a._t, b._t, sign):
-            raise MemoryError("IntPoly growth failed")
+        _check(_lib.sdc_fma(self._t, a._t, b._t, sign))
 
     def equal_scaled(self, ca: int, other: "IntPoly", cb: int) -> bool:
         """True iff ca * self == cb * other termwise (ca, cb Python ints)."""
-        if ca.bit_length() > 55 or cb.bit_length() > 55:
-            raise OverflowError("comparison scalars out of range")
-        if _lib.sdc_maxbits(self._t) + ca.bit_length() > 126:
-            raise OverflowError("comparison would overflow")
-        if _lib.sdc_maxbits(other._t) + cb.bit_length() > 126:
-            raise OverflowError("comparison would overflow")
-        return bool(_lib.sdc_equal_scaled(self._t, other._t, ca, cb))
+        # ctypes would silently truncate a scalar past int64
+        if not (-_INT64_LIMIT <= ca < _INT64_LIMIT and -_INT64_LIMIT <= cb < _INT64_LIMIT):
+            raise OverflowError("comparison scalars outside int64")
+        return bool(_check(_lib.sdc_equal_scaled(self._t, other._t, ca, cb)))
 
-    def max_key(self) -> int | None:
-        """Largest key with a nonzero value; None if zero polynomial."""
-        best = _lib.sdc_max_key(self._t)
-        return None if best < 0 else best
-
-    def get(self, key: int) -> int:
-        if not 0 <= key < KEY_LIMIT:
-            return 0
-        out = (c_int64 * 2)()
-        _lib.sdc_get(self._t, key, out)
-        return (out[1] << 64) + (out[0] & _MASK64)
+    def lead(self) -> tuple[int, int] | None:
+        """(largest key with a nonzero value, that value); None if zero."""
+        lo, hi = c_uint64(), c_int64()
+        key = _lib.sdc_lead(self._t, ctypes.byref(lo), ctypes.byref(hi))
+        return None if key < 0 else (key, (hi.value << 64) + lo.value)
 
 
 _lib, _UNAVAILABLE = _load()

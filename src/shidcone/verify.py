@@ -501,9 +501,9 @@ def _det_initial_and_lc(det_data: tuple | None) -> tuple:
     if det_data is None or det_data[0].is_zero():
         return None, None
     head, den, factors, nvars = det_data
-    key = head.max_key()
+    key, coeff = head.lead()
     init = _unpack(key, nvars)
-    lc = Fraction(head.get(key), den)
+    lc = Fraction(coeff, den)
     for f in factors:
         init = tuple(a + b for a, b in zip(init, f.initial_monomial()))
         lc *= f.leading_coefficient()

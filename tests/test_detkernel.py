@@ -1,6 +1,9 @@
+import copy
 import ctypes
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -84,18 +87,19 @@ def test_backend_equal_scaled():
         assert not a.equal_scaled(3, c, 2)
 
 
-def test_backend_max_key_and_zero():
+def test_backend_lead_and_zero():
     for impl in {DictPoly, get_impl()}:
         p = impl.from_dict({5: 1, 700: 2})
-        assert p.max_key() == 700
+        assert p.lead() == (700, 2)
         q = impl.from_dict({})
         assert q.is_zero()
-        assert q.max_key() is None
+        assert q.lead() is None
         # cancellation to zero
         acc = impl.from_dict({3: 1})
         acc.fma(impl.from_dict({3: 1}), impl.from_dict({0: 1}), -1)
         assert acc.is_zero()
         assert acc.nnz() == 0
+        assert acc.lead() is None
 
 
 def test_fma_aliasing_rejected():
@@ -320,8 +324,135 @@ def test_fast_kernel_overflow_guard():
     acc = impl.from_dict({})
     with pytest.raises(OverflowError):
         acc.fma(big, other, 1)
+    # the value range is exactly [-2**127, 2**127)
+    for v in (2**127, -(2**127) - 1):
+        with pytest.raises(OverflowError, match=r"\[-2\*\*127, 2\*\*127\)"):
+            impl.from_dict({0: v})
+
+
+# (acc, a, b, sign) for acc += sign * a * b at the ends of the compiled
+# kernel's value range: the exact results of the first fit it, those of the
+# second do not
+_FMA_FITS = [
+    ({}, {0: 2**62}, {1: 2**62}, 1),
+    ({1: 2**126 - 1}, {0: 2**63}, {1: 2**63}, 1),
+    ({1: -(2**126)}, {0: 2**63}, {1: 2**63}, -1),
+]
+_FMA_OVERFLOWS = [
+    ({0: 2**126}, {0: 2**126}, {0: 1}, 1),
+    ({}, {0: 2**99}, {0: 2**99}, 1),
+    ({}, {0: -(2**127)}, {0: 1}, -1),
+]
+
+
+def _fma(impl, acc, a, b, sign):
+    out = impl.from_dict(acc)
+    out.fma(impl.from_dict(a), impl.from_dict(b), sign)
+    return out
+
+
+def check_range_ends(impl):
+    """The named cases at the ends of the value range, on the compiled
+    kernel ``impl`` (a function, so that a sanitizer build can run it)."""
+    for operands in _FMA_FITS:
+        assert _fma(impl, *operands).to_dict() == _fma(DictPoly, *operands).to_dict()
+    for operands in _FMA_OVERFLOWS:
+        with pytest.raises(OverflowError):
+            _fma(impl, *operands)
+    big = impl.from_dict({0: 2**100})
     with pytest.raises(OverflowError):
-        impl.from_dict({0: 1 << 120})
+        big.equal_scaled(2**40, impl.from_dict({0: 2**100}), 2**40)
+    edge = impl.from_dict({0: 2**64})
+    assert edge.equal_scaled(-(2**63), impl.from_dict({0: -(2**127)}), 1)
+
+
+@pytest.mark.parametrize("operands", _FMA_FITS)
+def test_fma_at_the_range_ends(operands):
+    acc, a, b, sign = operands
+    expected = acc.get(1, 0) + sign * a[0] * b[1]
+    assert -(2**127) <= expected < 2**127
+    for impl in {DictPoly, get_impl()}:
+        assert _fma(impl, *operands).to_dict() == {1: expected}
+
+
+@_COMPILED
+def test_compiled_kernel_refuses_past_the_range_ends():
+    check_range_ends(get_impl(fast=True))
+
+
+@_COMPILED
+def test_compiled_tables_copy_at_the_range_ends():
+    # every value an exact fma can leave loads back: copies and pickles
+    # go through to_dict and from_dict
+    impl = get_impl(fast=True)
+    a = impl.from_dict({i: 2**45 for i in range(1024)})
+    b = impl.from_dict({1023 - i: 2**45 for i in range(1024)})
+    wide = impl.from_dict({})
+    wide.fma(a, b, 1)
+    assert wide.to_dict()[1023] == 2**100
+    lowest = _fma(impl, *_FMA_FITS[2])
+    assert lowest.to_dict() == {1: -(2**127)}
+    for p in (wide, lowest, impl.from_dict({1: -(2**127), 2: 2**127 - 1})):
+        d = p.to_dict()
+        assert impl.from_dict(d).to_dict() == d
+        assert copy.deepcopy(p).to_dict() == d
+
+
+def _power_near(max_exponent):
+    """+-(2^e + d) for e <= max_exponent and |d| <= 2, with extra weight on
+    the exponents next to the int64 and 128-bit ends."""
+    exponent = st.integers(0, max_exponent) | st.sampled_from(
+        [e for e in (0, 1, 62, 63, 64, 125, 126) if e <= max_exponent]
+    )
+    return st.builds(
+        lambda sign, e, d: sign * ((1 << e) + d),
+        st.sampled_from((1, -1)), exponent, st.integers(-2, 2),
+    )
+
+
+_WIDE = _power_near(126)
+_WIDE_TERMS = st.dictionaries(st.integers(0, 2), _WIDE, max_size=2)
+_SCALAR = _power_near(62) | st.integers(-(2**63), 2**63 - 1)
+
+
+def _wrapped(v):
+    """v reduced modulo 2**128 into [-2**127, 2**127), as a kernel that
+    wraps would hold it."""
+    return (v + 2**127) % 2**128 - 2**127
+
+
+@st.composite
+def _fma_near_the_range_ends(draw):
+    """(acc, a, b, sign) with coefficients as large as _WIDE.  In half of
+    them a and b have one term each and acc holds, at the key of their
+    product, what takes the sum to within 2 of an end of the range, inside
+    or outside it."""
+    sign = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        return draw(_WIDE_TERMS), draw(_WIDE_TERMS), draw(_WIDE_TERMS), sign
+    va, vb = draw(_WIDE), draw(_WIDE)
+    total = draw(st.sampled_from((2**127, -(2**127)))) + draw(st.integers(-2, 2))
+    return {1: _wrapped(total - sign * va * vb)}, {0: va}, {1: vb}, sign
+
+
+@_COMPILED
+@settings(max_examples=200, deadline=None)
+@given(_fma_near_the_range_ends(), _WIDE_TERMS, _SCALAR)
+def test_compiled_results_are_exact_or_refused(operands, a, c):
+    # b is c * a as a wrapping kernel would hold it, equal to c * a exactly
+    # when that fits the range
+    b = {k: _wrapped(c * v) for k, v in a.items()}
+    cases = [
+        lambda impl: _fma(impl, *operands).to_dict(),
+        lambda impl: impl.from_dict(a).equal_scaled(c, impl.from_dict(b), 1),
+        lambda impl: impl.from_dict(b).equal_scaled(1, impl.from_dict(a), c),
+    ]
+    for case in cases:
+        try:
+            got = case(get_impl(fast=True))
+        except OverflowError:
+            continue
+        assert got == case(DictPoly)
 
 
 @pytest.mark.skipif(not HAS_FAST_KERNEL, reason="compiled kernel only")
@@ -371,3 +502,40 @@ def test_det_minor_expansion_matches_bareiss_random():
             assert minor_expansion_det(matrix, fast=False) == minor_expansion_det(
                 matrix, fast=True
             )
+
+
+_UBSAN_RUN = """
+import sys
+from shidcone import detkernel
+
+detkernel._CFLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+detkernel._cache_dir = lambda: sys.argv[1]
+try:
+    detkernel._lib = detkernel._open_kernel()
+except (OSError, detkernel._BuildError) as exc:
+    print(exc)
+    sys.exit(77)
+sys.path.insert(0, sys.argv[2])
+import test_detkernel
+from shidcone.verify import saito_verify
+
+test_detkernel.check_range_ends(detkernel.IntPoly)
+assert saito_verify(3, method="expand").saito_ok
+"""
+
+
+@pytest.mark.skipif(detkernel._find_compiler() is None, reason="no C compiler on PATH")
+def test_kernel_under_the_undefined_behaviour_sanitizer(tmp_path):
+    # a sanitizer build aborts on any signed overflow the checked arithmetic
+    # misses, such as negating -2**127
+    src = os.path.dirname(os.path.dirname(detkernel.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", _UBSAN_RUN, str(tmp_path), os.path.dirname(__file__)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    if proc.returncode == 77:
+        pytest.skip(f"no sanitizer build of the kernel: {proc.stdout.strip()}")
+    assert "runtime error" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
