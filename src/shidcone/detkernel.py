@@ -11,7 +11,8 @@ Keys pass between ``Poly`` and the kernel unchanged:
     coefficient is converted, and the way back reduces once;
   * ``clear_columns``: the columns of a ``Poly`` matrix to kernel rows, each
     column under its own denominator, and the product of the denominators;
-  * ``det_minor_expansion``: the determinant of kernel rows;
+  * ``det_minor_expansion``: the determinant of kernel rows, and the minor
+    that leaves out the last row and the first column;
   * ``int_product``: the product of a chain of factors.
 
 The last two raise ExponentOverflowError where a packed exponent could
@@ -405,17 +406,20 @@ def int_dict_to_poly(d: dict[int, int], den: int, nvars: int) -> Poly:
 # -- determinant by minor expansion ------------------------------------------
 
 
-def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> IntPolyLike:
-    """Determinant of a square matrix of kernel polynomials.
+def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> tuple:
+    """(det, cofactor) of a square matrix of n >= 1 rows of kernel
+    polynomials: cofactor is the minor of rows 0..n-2 over columns 1..n-1
+    (1 at n = 1), the cofactor of entry [n-1][0] up to the sign (-1)^(n-1).
 
     Dynamic programming over column subsets: after processing r rows the
-    table holds the minor of rows 0..r-1 for every r-subset of columns.
-    Laplace expansion along the last added row gives the recurrence, with
-    sign (-1)^(r + position).  Deterministic and division-free.
+    table holds the minor of rows 0..r-1 for every r-subset of columns, so
+    it holds the cofactor before the last row.  Laplace expansion along the
+    last added row gives the recurrence, with sign (-1)^(r + position).
+    Deterministic and division-free.
     """
     n = len(rows)
     if n == 0:
-        return impl.from_dict({0: 1})
+        raise ValueError("empty matrix")
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix must be square")
@@ -423,6 +427,9 @@ def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> IntPolyL
     check_field_room([k for entry in row for k in entry.to_dict()] for row in rows)
     minors = {(): impl.from_dict({0: 1})}
     for r in range(n):
+        if r == n - 1:
+            # held here, since the last step frees it
+            cofactor = minors[tuple(range(1, n))]
         # each r-subset's minor is a sub-minor of the n - r subsets one
         # larger, and is freed after the last of them, not with its level
         uses = dict.fromkeys(minors, n - r)
@@ -439,7 +446,7 @@ def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> IntPolyL
                 acc.fma(sub, entry, 1 if (r + pos) % 2 == 0 else -1)
             nxt[subset] = acc
         minors = nxt
-    return minors[tuple(range(n))]
+    return minors[tuple(range(n))], cofactor
 
 
 def int_product(factors: Sequence[dict[int, int] | IntPolyLike], impl) -> IntPolyLike:

@@ -27,10 +27,12 @@ Two exact strategies for the determinant identity:
     verified exact division, clear denominators per column, expand the
     reduced determinant by minor-subset dynamic programming over the integer
     kernel, and compare against the correspondingly reduced right-hand
-    product by exact termwise cross-multiplication.  The DP adds the
-    reduced columns one at a time, phi_l first and phi_1, the sparsest,
-    last, since its last step multiplies the largest minors; the full
-    determinant takes the same columns and then the Euler column.  Default
+    product by exact termwise cross-multiplication.  One DP expands the
+    full determinant: it adds the reduced columns one at a time, each with
+    its z-row entry 0 in front, phi_l first and phi_1, the sparsest, last,
+    since its last step multiplies the largest minors, and then the Euler
+    column.  The reduced determinant is the minor it holds before that last
+    column, so the full one costs a single product more.  Default
     for l <= 5 (the reduced determinant already has 234k terms at l = 5 and
     ~10^7 at l = 6, which measured far beyond the time budget there).
 
@@ -250,7 +252,7 @@ def minor_expansion_det(matrix: Sequence[Sequence[Poly]], fast: bool | None = No
         raise ValueError("matrix must be square")
     impl = get_impl(fast)
     rows, den = clear_columns(list(zip(*matrix)), impl)
-    det = det_minor_expansion(rows, impl)
+    det, _ = det_minor_expansion(rows, impl)
     return int_dict_to_poly(det.to_dict(), den, matrix[0][0].nvars)
 
 
@@ -414,28 +416,28 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> tuple:
     # over the rows x_1..x_l.  Reversing the l columns multiplies the
     # determinant by (-1)^(l(l-1)/2), which goes into the denominator.
     lines = [list(col) for col in zip(*rows)][::-1]
-    reduced = det_minor_expansion(lines, impl)
-    den = _reversal_sign(ell) * scale_prod
-    dd = double_factorial(2 * ell - 3)
-    rhs = int_product(_reduced_rhs_factors(ell), impl)
-    # det[phi_j(x_i)] = reduced * prod(factors) / den must equal
-    # (1/dd) * rhs * prod(factors):  cross-multiplied integer comparison.
-    matches = (not reduced.is_zero()) and reduced.equal_scaled(dd, rhs, den)
-
-    # Full (l+1) x (l+1) determinant over the same lines, each with its z-row
-    # entry 0 in front, and the Euler line (z, theta_E(x_1..x_l)) last.  The
-    # z row is (z, 0, ..., 0), so with R the reduced matrix in row order the
-    # result is (-1)^((l+1)l/2) * z * det R, the sign reversing l + 1
-    # columns, while reduced = (-1)^(l(l-1)/2) * det R.  The DP never reads
-    # the Euler line past z (every other minor it would pair with holds the
-    # zero column), so that line's denominator is left out.
+    # One DP expands the full (l+1) x (l+1) determinant: these lines, each
+    # with its z-row entry 0 in front, then the Euler line (z, theta_E(x_1..
+    # x_l)).  Minors over rows with z are zero and cost nothing, so the
+    # cofactor it hands back is the reduced determinant, and the full one
+    # costs one fma more, z * reduced.  The z row is (z, 0, ..., 0), so with
+    # R the reduced matrix in row order full_det = (-1)^((l+1)l/2) * z * det R,
+    # the sign reversing l + 1 columns, while reduced = (-1)^(l(l-1)/2) *
+    # det R.  The DP never reads the Euler line past z (every other minor it
+    # would pair with holds the zero column), so its denominator is left out.
     z = Poly.variable(nvars, nvars - 1)
     z_entry = impl.from_dict(poly_to_int_dict(z)[0])
     euler_rows, _ = clear_columns([euler.coeff_x], impl)
     zero = impl.from_dict({})
     full_lines = [[zero] + line for line in lines]
     full_lines.append([z_entry] + [e for (e,) in euler_rows])
-    full_det = det_minor_expansion(full_lines, impl)
+    full_det, reduced = det_minor_expansion(full_lines, impl)
+    den = _reversal_sign(ell) * scale_prod
+    dd = double_factorial(2 * ell - 3)
+    rhs = int_product(_reduced_rhs_factors(ell), impl)
+    # det[phi_j(x_i)] = reduced * prod(factors) / den must equal
+    # (1/dd) * rhs * prod(factors):  cross-multiplied integer comparison.
+    matches = (not reduced.is_zero()) and reduced.equal_scaled(dd, rhs, den)
     z_times_reduced = impl.from_dict({})
     z_times_reduced.fma(reduced, z_entry, 1)
     # The z row is checked here: without this, a basis with theta_E(z) != z

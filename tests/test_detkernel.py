@@ -311,7 +311,8 @@ def test_backends_agree_on_the_rank4_minor_expansion(cached_basis):
     dets = []
     for impl in (DictPoly, get_impl(fast=True)):
         rows, _, _ = _column_reduced_int_matrix(4, cached_basis(4)[1:], impl)
-        dets.append(det_minor_expansion(rows, impl).to_dict())
+        det, _ = det_minor_expansion(rows, impl)
+        dets.append(det.to_dict())
     assert len(dets[0]) > 1000
     assert dets[1] == dets[0]
 
@@ -470,14 +471,16 @@ def test_det_minor_expansion_small():
         [impl.from_dict(one if i == j else zero) for j in range(3)]
         for i in range(3)
     ]
-    assert det_minor_expansion(ident, impl).to_dict() == {0: 1}
+    det, _ = det_minor_expansion(ident, impl)
+    assert det.to_dict() == {0: 1}
 
     # [[0, 1], [1, 0]] has determinant -1 (needs the Laplace row sign)
     swap = [
         [impl.from_dict(zero), impl.from_dict(one)],
         [impl.from_dict(one), impl.from_dict(zero)],
     ]
-    assert det_minor_expansion(swap, impl).to_dict() == {0: -1}
+    det, _ = det_minor_expansion(swap, impl)
+    assert det.to_dict() == {0: -1}
 
 
 def test_det_minor_expansion_matches_bareiss_random():
@@ -502,6 +505,33 @@ def test_det_minor_expansion_matches_bareiss_random():
             assert minor_expansion_det(matrix, fast=False) == minor_expansion_det(
                 matrix, fast=True
             )
+
+
+def _sparse_entry(rng, nv):
+    """A random integer polynomial, zero about a third of the time."""
+    if rng.random() < 0.35:
+        return Poly.zero(nv)
+    exps = [tuple(rng.randrange(3) for _ in range(nv)) for _ in range(3)]
+    return Poly.from_terms(nv, {e: rng.randrange(-4, 5) for e in exps})
+
+
+@pytest.mark.parametrize("fast", [False, pytest.param(True, marks=_COMPILED)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_det_minor_expansion_cofactor(n, fast):
+    # the minor of rows 0..n-2 without column 0, which verify's expand route
+    # reads as its reduced determinant
+    from shidcone.verify import bareiss_det
+
+    impl = get_impl(fast)
+    rng = random.Random(n)
+    nv = 3
+    for _ in range(6):
+        matrix = [[_sparse_entry(rng, nv) for _ in range(n)] for _ in range(n)]
+        rows = [[impl.from_dict(poly_to_int_dict(p)[0]) for p in row] for row in matrix]
+        det, cofactor = det_minor_expansion(rows, impl)
+        minor = bareiss_det([row[1:] for row in matrix[:-1]]) if n > 1 else Poly.one(nv)
+        assert int_dict_to_poly(cofactor.to_dict(), 1, nv) == minor
+        assert int_dict_to_poly(det.to_dict(), 1, nv) == bareiss_det(matrix)
 
 
 _UBSAN_RUN = """

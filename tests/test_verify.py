@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from shidcone import detkernel
+from shidcone import detkernel, verify
 from shidcone.arrangement import Arrangement, LinearForm, defining_poly, shi_d_cone
 from shidcone.exactpoly import ExponentOverflowError, Poly, divides, exact_div
 from shidcone.shi_basis import Derivation, apply, basis
@@ -254,18 +254,16 @@ def test_saito_verify_expand(ell):
     assert report.det_leading_coefficient == report.det_constant
 
 
-@pytest.mark.parametrize(
-    "fast",
-    [
-        False,
-        pytest.param(
-            True,
-            marks=pytest.mark.skipif(
-                not detkernel.HAS_FAST_KERNEL, reason="compiled kernel only"
-            ),
-        ),
-    ],
-)
+_BACKENDS = [
+    False,
+    pytest.param(
+        True,
+        marks=pytest.mark.skipif(not detkernel.HAS_FAST_KERNEL, reason="compiled kernel only"),
+    ),
+]
+
+
+@pytest.mark.parametrize("fast", _BACKENDS)
 @pytest.mark.parametrize("ell", [2, 3, 4])
 def test_expand_head_is_the_row_order_determinant(cached_basis, ell, fast):
     # expand runs the DP over the columns phi_l..phi_1 and folds the sign of
@@ -274,10 +272,29 @@ def test_expand_head_is_the_row_order_determinant(cached_basis, ell, fast):
     derivs = cached_basis(ell)
     head, den, _, _ = _det_expand(ell, derivs, impl)[3]
     rows, scale_prod, _ = _column_reduced_int_matrix(ell, derivs[1:], impl)
-    in_row_order = detkernel.det_minor_expansion(rows, impl).to_dict()
+    det, _ = detkernel.det_minor_expansion(rows, impl)
+    in_row_order = det.to_dict()
     sign = {2: -1, 3: -1, 4: 1}[ell]
     assert den == sign * scale_prod
     assert head.to_dict() == {k: sign * v for k, v in in_row_order.items()}
+
+
+@pytest.mark.parametrize("fast", _BACKENDS)
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_expand_runs_the_minor_dp_once(monkeypatch, ell, fast):
+    # the reduced determinant is the cofactor that the full determinant's DP
+    # hands back, so no minor is expanded twice
+    calls = []
+    dp = verify.det_minor_expansion
+
+    def counted(rows, impl):
+        calls.append(impl)
+        return dp(rows, impl)
+
+    monkeypatch.setattr(verify, "det_minor_expansion", counted)
+    monkeypatch.setattr(detkernel, "HAS_FAST_KERNEL", fast)
+    assert saito_verify(ell, method="expand").saito_ok
+    assert calls == [detkernel.get_impl(fast)]
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
