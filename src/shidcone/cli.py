@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .bernoulli import make_bernoulli
 from .exactpoly import Poly, default_names
-from .oracle import charpoly_count, expected_count, graded_dims
+from .oracle import PREFIX_CAP, charpoly_count, expected_count, graded_dims
 from .shi_basis import basis, poly_terms_text
 from .verify import (
     bareiss_det,
@@ -292,7 +292,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dims = oracle_sub.add_parser("dims", help="graded dimension comparison")
     p_dims.add_argument("--max-degree", type=int, required=True)
     add_common(p_dims, _run_oracle_dims)
-    p_char = oracle_sub.add_parser("charpoly", help="finite-field point count")
+    p_char = oracle_sub.add_parser(
+        "charpoly",
+        help=f"finite-field point count, refused past {PREFIX_CAP:,} visited prefixes",
+    )
     p_char.add_argument("--q", type=int, required=True, help="odd prime modulus")
     add_common(p_char, _run_oracle_charpoly)
 

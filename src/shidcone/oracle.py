@@ -22,7 +22,6 @@ Two families of checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import comb, gcd
 from operator import add
 from typing import Iterable, Iterator
@@ -31,7 +30,7 @@ from .arrangement import restriction_table, shi_d_cone
 from .exactpoly import FIELD_MASK, _pack, _unpack, clear_denominators
 from .shi_basis import Derivation, basis
 
-POINT_ENUMERATION_CAP = 10**7
+PREFIX_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,7 @@ def _is_prime(n: int) -> bool:
 
 def charpoly_count(ell: int, q: int) -> int:
     """Number of points of F_q^(l+1) lying on none of the hyperplanes,
-    by exhaustive enumeration of the slice z = 1.
+    by a backtracking count on the slice z = 1.
 
     The point count is Athanasiadis's finite-field method for the
     characteristic polynomial ("Characteristic polynomials of subspace
@@ -240,11 +239,23 @@ def charpoly_count(ell: int, q: int) -> int:
     a bijection from the slice at z onto the slice z = 1, and it preserves
     every form of the cone: x_s + eps*x_t - k*z vanishes at (x, z) iff
     x_s/z + eps*x_t/z - k vanishes.  So every nonzero slice has the same
-    count, and the total is (q - 1) times the count of the q^l points of
-    z = 1, which alone are enumerated.
+    count, and the total is (q - 1) times the count of the slice z = 1.
+
+    The slice is counted by choosing x_1, x_2, ... in turn.  Apart from z,
+    which is 1 on the slice, each form of ``shi_d_cone`` involves two
+    x-variables x_s, x_t (s < t), with a unit coefficient at x_t mod q, so
+    once x_s is fixed the form forbids exactly one value of x_t.  A table
+    per pair s < t gives, for each value of x_s, the values its forms
+    forbid for x_t, as a bitmask.  Each coordinate takes only the values
+    its earlier coordinates allow, and at the last one the count adds q
+    minus the number forbidden instead of recursing.  So the search visits
+    only the prefixes x_1..x_k, k < l, that lie on no form in those
+    variables: 2,440 for (l, q) = (4, 17) and 1,938,905 for (9, 19).
 
     Requires q an odd prime with q > 2l - 1 (small q below that boundary
-    produce degenerate reductions) and q^l <= 10^7.
+    produce degenerate reductions).  ValueError is raised once the search
+    passes PREFIX_CAP = 10^7 visited prefixes, or at once if its tables
+    (q entries for each pair s < t) would.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
@@ -252,23 +263,43 @@ def charpoly_count(ell: int, q: int) -> int:
         raise ValueError(f"q = {q} is not an odd prime")
     if q <= 2 * ell - 1:
         raise ValueError(f"q = {q} too small for ell = {ell} (need q > {2 * ell - 1})")
-    if q**ell > POINT_ENUMERATION_CAP:
-        raise ValueError("enumeration exceeds the 10^7 point cap")
-    pairs = [
-        (s, t, eps)
-        for s in range(ell - 1)
-        for t in range(s + 1, ell)
-        for eps in (1, -1)
-    ]
-    count = 0
-    for x in iproduct(range(q), repeat=ell):
-        for s, t, eps in pairs:
-            base = x[s] + eps * x[t]
-            if base % q == 0 or (base - 1) % q == 0:
-                break
-        else:
-            count += 1
-    return (q - 1) * count
+    if ell * (ell - 1) // 2 * q > PREFIX_CAP:
+        raise ValueError(f"the tables for ell = {ell}, q = {q} pass the {PREFIX_CAP:,} prefix cap")
+    # bans[s][t][v]: the values of coordinate t (from 0) that the forms in
+    # coordinates s < t forbid when coordinate s is v, as a bitmask
+    bans: list[dict[int, list[int]]] = [{} for _ in range(ell)]
+    for form in shi_d_cone(ell).forms:
+        *xs, k = (c.numerator * pow(c.denominator, -1, q) for c in form.coeffs)
+        support = [(s, c) for s, c in enumerate(xs) if c]
+        if not support:
+            continue  # z, which is 1 on the slice
+        (s, b), (t, a) = support
+        m = -pow(a, -1, q)  # the form vanishes iff x_t = m * (b * x_s + k)
+        table = bans[s].setdefault(t, [0] * q)
+        for v in range(q):
+            table[v] |= 1 << m * (b * v + k) % q
+    rows = [list(row.items()) for row in bans]
+    visited = 1
+
+    def search(i: int, masks: list[int]) -> int:
+        # coordinates 0..i-1 are fixed; masks[t] holds the values they forbid
+        # for coordinate t
+        nonlocal visited
+        forbidden = masks[i]
+        visited += q - forbidden.bit_count()
+        if visited > PREFIX_CAP:
+            raise ValueError(f"the search passes the {PREFIX_CAP:,} prefix cap")
+        total = 0
+        for v in range(q):
+            if forbidden >> v & 1:
+                continue
+            child = masks[:]
+            for t, table in rows[i]:
+                child[t] |= table[v]
+            total += q - child[-1].bit_count() if i + 2 == ell else search(i + 1, child)
+        return total
+
+    return (q - 1) * search(0, [0] * ell)
 
 
 def expected_count(ell: int, q: int) -> int:

@@ -432,12 +432,6 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> tuple:
     full_lines = [[zero] + line for line in lines]
     full_lines.append([z_entry] + [e for (e,) in euler_rows])
     full_det, reduced = det_minor_expansion(full_lines, impl)
-    den = _reversal_sign(ell) * scale_prod
-    dd = double_factorial(2 * ell - 3)
-    rhs = int_product(_reduced_rhs_factors(ell), impl)
-    # det[phi_j(x_i)] = reduced * prod(factors) / den must equal
-    # (1/dd) * rhs * prod(factors):  cross-multiplied integer comparison.
-    matches = (not reduced.is_zero()) and reduced.equal_scaled(dd, rhs, den)
     z_times_reduced = impl.from_dict({})
     z_times_reduced.fma(reduced, z_entry, 1)
     # The z row is checked here: without this, a basis with theta_E(z) != z
@@ -445,6 +439,15 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> tuple:
     full_ok = _z_row_ok(derivs) and full_det.equal_scaled(
         _reversal_sign(ell), z_times_reduced, _reversal_sign(ell + 1)
     )
+    # Freed before rhs is built, so that at most three tables of the size of
+    # reduced are alive at once (14.2 million terms each at rank 6).
+    del full_det, z_times_reduced
+    den = _reversal_sign(ell) * scale_prod
+    dd = double_factorial(2 * ell - 3)
+    rhs = int_product(_reduced_rhs_factors(ell), impl)
+    # det[phi_j(x_i)] = reduced * prod(factors) / den must equal
+    # (1/dd) * rhs * prod(factors):  cross-multiplied integer comparison.
+    matches = (not reduced.is_zero()) and reduced.equal_scaled(dd, rhs, den)
     constant = Fraction(1, dd) if matches else None
     return matches, full_ok, constant, (reduced, den, factors, nvars)
 

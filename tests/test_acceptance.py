@@ -227,3 +227,10 @@ def test_criterion_11_rank4_bareiss(monkeypatch, tmp_path):
     ok = outputs[0] == outputs[1] and outputs[0][0] == 0
     ok = ok and det == minor_expansion_det(matrix)
     _record(11, "rank-4 bareiss_det equals minor expansion", ok, time.perf_counter() - t0, 30.0)
+
+
+def test_criterion_12_point_counts_at_ranks_7_and_8():
+    t0 = time.perf_counter()
+    # the smallest admissible prime, q > 2l - 1, at each rank
+    ok = all(charpoly_count(ell, 17) == expected_count(ell, 17) for ell in (7, 8))
+    _record(12, "point counts at ranks 7 and 8", ok, time.perf_counter() - t0, 20.0)

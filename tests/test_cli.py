@@ -209,6 +209,12 @@ def test_oracle_charpoly_bad_prime(capsys):
     assert status == 2
 
 
+def test_oracle_charpoly_past_the_prefix_cap_is_a_usage_error(capsys):
+    status, out, err = invoke(capsys, "oracle", "charpoly", "--ell", "300", "--q", "601")
+    assert (status, out) == (2, "")
+    assert err == "error: the tables for ell = 300, q = 601 pass the 10,000,000 prefix cap\n"
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     status, out, _ = invoke(

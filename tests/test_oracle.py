@@ -1,9 +1,10 @@
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shidcone import oracle
@@ -92,8 +93,8 @@ def test_charpoly_preconditions():
         charpoly_count(2, 4)  # not prime
     with pytest.raises(ValueError):
         charpoly_count(2, 2)  # even
-    with pytest.raises(ValueError):
-        charpoly_count(5, 101)  # enumeration cap
+    with pytest.raises(ValueError, match="cap"):
+        charpoly_count(300, 601)  # tables past the prefix cap, refused before any work
 
 
 def _fraction_rank(rows: list[dict[int, Fraction]]) -> int:
@@ -212,8 +213,59 @@ def test_sliced_count_matches_full_enumeration(ell, q):
     assert charpoly_count(ell, q) == _full_count(ell, q) == expected_count(ell, q)
 
 
-def test_charpoly_cap_applies_to_the_slice():
-    # 223^2 points on the slice z = 1 fit the 10^7 cap, although 223^3 would not
+def test_charpoly_cap_applies_to_the_slice(monkeypatch):
+    # the cap counts prefixes of the slice z = 1: (2, 3163) visits 3,164 and
+    # (4, 17) visits 1 + 17 + 15^2 + 13^3 = 2,440
     assert charpoly_count(2, 223) == expected_count(2, 223)
+    assert charpoly_count(2, 3163) == expected_count(2, 3163)
+    monkeypatch.setattr(oracle, "PREFIX_CAP", 2440)
+    assert charpoly_count(4, 17) == expected_count(4, 17)
+    monkeypatch.setattr(oracle, "PREFIX_CAP", 2439)
     with pytest.raises(ValueError, match="cap"):
-        charpoly_count(2, 3163)  # 3163^2 > 10^7
+        charpoly_count(4, 17)
+
+
+def _slice_count(ell: int, q: int) -> int:
+    """(q - 1) times the points of the slice z = 1 on none of the hyperplanes."""
+    forms = [tuple(map(int, form.coeffs)) for form in shi_d_cone(ell).forms]
+    points = product(*[range(q)] * ell, [1])
+    return (q - 1) * sum(all(sum(map(mul, form, x)) % q for form in forms) for x in points)
+
+
+_ADMISSIBLE = {ell: [q for q in (5, 7, 11, 13, 17, 19, 23) if q > 2 * ell - 1] for ell in (2, 3, 4)}
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    st.sampled_from(sorted(_ADMISSIBLE)).flatmap(
+        lambda ell: st.tuples(st.just(ell), st.sampled_from(_ADMISSIBLE[ell]))
+    )
+)
+@example((2, 5))
+@example((3, 7))
+@example((4, 11))
+def test_backtracking_count_matches_slice_enumeration(case):
+    ell, q = case
+    assert charpoly_count(ell, q) == _slice_count(ell, q) == expected_count(ell, q)
+
+
+def _drop_first_shifted_form(ell: int) -> Arrangement:
+    arr = shi_d_cone(ell)
+    assert arr.forms[2].text() == "x1 + x2 - z"
+    return Arrangement(ell, arr.forms[:2] + arr.forms[3:], arr.h)
+
+
+def _add_form(ell: int) -> Arrangement:
+    arr = shi_d_cone(ell)
+    extra = LinearForm((Fraction(1), Fraction(1)) + (Fraction(0),) * (ell - 2) + (Fraction(-2),))
+    assert extra.text() == "x1 + x2 - 2*z"
+    return Arrangement(ell, arr.forms + (extra,), arr.h)
+
+
+@pytest.mark.parametrize("ell,q", [(3, 7), (4, 11)])
+def test_charpoly_count_reads_the_forms(monkeypatch, ell, q):
+    # the count says no to an arrangement with one form fewer or one more
+    assert charpoly_count(ell, q) == expected_count(ell, q)
+    for mutant in (_drop_first_shifted_form, _add_form):
+        monkeypatch.setattr(oracle, "shi_d_cone", mutant)
+        assert charpoly_count(ell, q) != expected_count(ell, q)
