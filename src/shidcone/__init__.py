@@ -1,7 +1,7 @@
 """Exact basis construction and verification for the derivation module of
 the cone over the Shi arrangement of type D."""
 
-from .arrangement import Arrangement, LinearForm, defining_poly, shi_d_cone
+from .arrangement import Arrangement, LinearForm, shi_d_cone
 from .bernoulli import (
     BernoulliRelative,
     antisymmetrize,
@@ -31,7 +31,6 @@ from .shi_basis import (
     basis,
     build_euler,
     build_phi,
-    build_phi_ell,
     enumerate_k1_k2,
 )
 from .verify import (
@@ -63,11 +62,9 @@ __all__ = [
     "basis",
     "build_euler",
     "build_phi",
-    "build_phi_ell",
     "charpoly_count",
     "check_membership",
     "coefficient_matrix",
-    "defining_poly",
     "derivation_dim",
     "discrete_antiderivative",
     "divides",

@@ -1,4 +1,4 @@
-"""The cone over the Shi arrangement of type D: hyperplane forms and Q.
+"""The cone over the Shi arrangement of type D: its hyperplane forms.
 
 The arrangement lives in variables x1, ..., xl, z and consists of the
 hyperplane z = 0 together with, for every 1 <= s < t <= l and eps in
@@ -20,7 +20,6 @@ from .exactpoly import (
     clear_denominators,
     fma_terms,
     integer_coeffs,
-    product,
 )
 
 _F0 = Fraction(0)
@@ -124,10 +123,4 @@ def shi_d_cone(ell: int) -> Arrangement:
                     forms.append(LinearForm(tuple(coeffs)))
     assert len(forms) == 2 * ell * (ell - 1) + 1
     return Arrangement(ell=ell, forms=tuple(forms), h=2 * ell - 2)
-
-
-def defining_poly(arr: Arrangement) -> Poly:
-    """Q: the product of all hyperplane forms, homogeneous of degree
-    2*ell*(ell-1) + 1."""
-    return product(arr.nvars, (f.poly() for f in arr.forms))
 

@@ -14,8 +14,8 @@ for identical inputs (timings are only included on request, since they
 vary run to run).  One writer, ``emit_json``, lays every payload out as
 ``json.dumps(indent=2, ensure_ascii=False)`` would.  Handlers pass each
 polynomial as its ``Poly``, and ``shi_basis.poly_terms_text`` writes its
-terms straight from the stored integers, one %-template per term, so the
-nested term lists of ``poly_terms_json`` are never built.  The writer does
+terms straight from the stored integers, one %-template per term, so no
+nested term list is ever built.  The writer does
 not call ``json.dumps(indent=2)`` on the whole payload because CPython's
 C encoder only runs with ``indent=None``: with any indent the pure-Python
 encoder takes over, and it took about twice as long as building the
@@ -56,7 +56,8 @@ INTERNAL_ERROR = 3
 def emit_json(obj) -> str:
     """Canonical JSON serialization (stable order, trailing newline): the
     text of ``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``, where
-    each ``Poly`` in obj stands for its ``poly_terms_json`` term list."""
+    each ``Poly`` in obj stands for the term list that ``poly_terms_text``
+    writes."""
     out: list[str] = []
     _write_json(out, obj, 0)
     out.append("\n")
@@ -108,7 +109,7 @@ def _write(args: argparse.Namespace, text: str, mode: str = "w") -> None:
 def _run_basis(args: argparse.Namespace) -> int:
     derivs = basis(args.ell)
     if args.format == "json":
-        # derivation_to_dict's keys, with each coefficient left a Poly
+        # the layout shi_basis.derivation_from_dict reads back
         payload = [
             {
                 "ell": d.ell,

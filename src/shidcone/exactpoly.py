@@ -8,8 +8,8 @@ on packed monomial keys over one positive denominator, reduced (no zero
 term; gcd of the denominator and every coefficient 1), and ``_reduced`` is
 the one place that reduces a result.  ``fractions.Fraction`` appears only
 at the edges: the inputs of ``constant``, ``from_terms``, ``linear_form``
-and a scalar ``*``, the outputs of ``terms``, ``leading_coefficient`` and
-``evaluate``, and the reference ``division_with_remainder``.
+and a scalar ``*``, and the outputs of ``terms``, ``leading_coefficient``
+and ``evaluate``.
 
 The one and only monomial order used anywhere in this package is pure
 lexicographic with x1 > x2 > ... > z.  Each monomial is packed into a single
@@ -193,6 +193,7 @@ class Poly:
         return bool(self._terms)
 
     def __len__(self) -> int:
+        # perfbench/tracer.py counts term pairs and dividend terms through it
         return len(self._terms)
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
@@ -267,9 +268,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -479,22 +477,17 @@ def _primitive(b: Poly) -> tuple[dict[int, int], int]:
     return {k: v // g for k, v in b._terms.items()}, g
 
 
-def _divide(
-    work: dict[int, int], divisor: dict[int, int], nvars: int, exact: bool, quotient: bool
-) -> tuple[dict[int, object], dict[int, object]] | None:
-    """The division loop shared by every division in this module.
+def _divide(work: dict[int, int], divisor: dict[int, int], nvars: int) -> dict[int, int] | None:
+    """The division loop behind ``exact_div`` and ``divides``.
 
     Divides the integer terms ``work`` (consumed) by the primitive integer
-    polynomial ``divisor`` under pure lex and returns (quotient terms,
-    remainder terms).  A max-heap of packed keys yields the dividend's
-    terms in descending order; reducing a term only adds smaller keys.
-
-    With ``exact`` the loop returns None at the first sign of a nonzero
-    remainder: a remainder term, or, by Gauss's lemma (a primitive integer
-    divisor of an integer polynomial leaves an integer quotient), a step
-    coefficient that is not a multiple of the leading coefficient.
-    Otherwise such a step yields a Fraction and the loop goes on.  Without
-    ``quotient`` no quotient terms are stored.
+    polynomial ``divisor`` under pure lex and returns the integer quotient
+    terms.  A max-heap of packed keys yields the dividend's terms in
+    descending order; reducing a term only adds smaller keys.  The loop
+    returns None at the first sign of a nonzero remainder: a remainder
+    term, or, by Gauss's lemma (a primitive integer divisor of an integer
+    polynomial leaves an integer quotient), a step coefficient that is not
+    a multiple of the leading coefficient.
 
     Under lex, reducing can raise a smaller variable's exponent without
     bound (x1^k by x1 - z^2 leaves z^(2k)), so each quotient term is
@@ -508,8 +501,7 @@ def _divide(
     room = sum(e << shift for shift, e in _field_peaks(k for k, _ in rest).items())
     carries = sum(1 << (FIELD_BITS * i) for i in range(1, nvars + 1))
     fields = list(_field_peaks([lead]).items())  # (shift, exponent) in the lead
-    quo: dict[int, object] = {}
-    rem: dict[int, object] = {}
+    quo: dict[int, int] = {}
     heap = [-k for k in work]
     heapify(heap)
     while heap:
@@ -519,54 +511,27 @@ def _divide(
             continue  # stale heap entry
         for shift, e in fields:
             if (key >> shift) & FIELD_MASK < e:
-                if exact:
-                    return None
-                rem[key] = c
-                break
-        else:
-            qc, m = divmod(c, lc)
-            if m:
-                if exact:
-                    return None
-                qc = Fraction(c, lc)
-            qk = key - lead
-            if ((qk + room) ^ qk ^ room) & carries:
-                raise ExponentOverflowError(f"an exponent would pass {FIELD_MASK} in division")
-            if quotient:
-                quo[qk] = qc  # keys strictly descend, so each qk occurs once
-            for bk, bc in rest:
-                nk = qk + bk
-                prev = work.get(nk)
-                if prev is None:
-                    work[nk] = -qc * bc
-                    heappush(heap, -nk)
+                return None
+        qc, m = divmod(c, lc)
+        if m:
+            return None
+        qk = key - lead
+        if ((qk + room) ^ qk ^ room) & carries:
+            raise ExponentOverflowError(f"an exponent would pass {FIELD_MASK} in division")
+        quo[qk] = qc  # keys strictly descend, so each qk occurs once
+        for bk, bc in rest:
+            nk = qk + bk
+            prev = work.get(nk)
+            if prev is None:
+                work[nk] = -qc * bc
+                heappush(heap, -nk)
+            else:
+                prev -= qc * bc
+                if prev:
+                    work[nk] = prev
                 else:
-                    prev -= qc * bc
-                    if prev:
-                        work[nk] = prev
-                    else:
-                        del work[nk]
-    return quo, rem
-
-
-def division_with_remainder(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Single-divisor multivariate division under pure lex.
-
-    Returns (q, r) with a = q*b + r and no monomial of r divisible by the
-    initial monomial of b.  For a single divisor this property makes the
-    remainder canonical, so r == 0 is a sound exact-divisibility test.
-    The tests' reference for ``divides`` and ``exact_div``.
-    """
-    divisor, g = _primitive(b)
-    a._check_compat(b)
-    quo, rem = _divide(dict(a._terms), divisor, a.nvars, exact=False, quotient=True)
-    # a = A / da and b = g * B / db, so a / b = (A / B) * db / (g * da); the
-    # maps hold fractions after a step that is not integral
-    scale, inv = Fraction(b._den, g * a._den), Fraction(1, a._den)
-    return (
-        _from_rationals(a.nvars, {k: c * scale for k, c in quo.items()}),
-        _from_rationals(a.nvars, {k: c * inv for k, c in rem.items()}),
-    )
+                    del work[nk]
+    return quo
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -577,19 +542,19 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     """
     divisor, g = _primitive(b)
     a._check_compat(b)
-    out = _divide(dict(a._terms), divisor, a.nvars, exact=True, quotient=True)
-    if out is None:
+    quo = _divide(dict(a._terms), divisor, a.nvars)
+    if quo is None:
         raise DivisionNotExactError("division not exact: nonzero remainder")
-    # the quotient is integral (Gauss's lemma); a / b as in division_with_remainder
-    return _reduced(a.nvars, {k: c * b._den for k, c in out[0].items()}, g * a._den)
+    # a = A / da and b = g * B / db, so a / b = (A / B) * db / (g * da)
+    return _reduced(a.nvars, {k: c * b._den for k, c in quo.items()}, g * a._den)
 
 
 def divides(b: Poly, a: Poly) -> bool:
     """True iff b divides a in the polynomial ring (divides(b, 0) is True).
-    Stops at the first remainder term and never builds the quotient."""
+    Stops at the first remainder term; the quotient it builds is dropped."""
     divisor, _ = _primitive(b)
     a._check_compat(b)
-    return _divide(dict(a._terms), divisor, a.nvars, exact=True, quotient=False) is not None
+    return _divide(dict(a._terms), divisor, a.nvars) is not None
 
 
 def split_by_variable(terms: Mapping[int, object], var: int, nvars: int) -> dict[int, dict]:
@@ -653,10 +618,3 @@ def remap_variables(f: Poly, nvars: int, mapping: Sequence[int]) -> Poly:
         out[_pack(new)] = c
     return Poly(nvars, out, f._den)
 
-
-def product(nvars: int, factors: Iterable[Poly]) -> Poly:
-    """Product of a sequence of polynomials (empty product = 1)."""
-    result = Poly.one(nvars)
-    for f in factors:
-        result = result * f
-    return result

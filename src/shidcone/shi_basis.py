@@ -74,9 +74,6 @@ class Derivation:
         """Coefficients in row order x1, ..., xl, z."""
         return list(self.coeff_x) + [self.coeff_z]
 
-    def __call__(self, f: Poly) -> Poly:
-        return apply(self, f)
-
 
 @dataclass(frozen=True)
 class TermIndex:
@@ -185,13 +182,17 @@ def check_rank_fits(ell: int) -> None:
         raise ValueError(f"rank {ell} needs exponents above {FIELD_MASK}")
 
 
-def _build_phi(j: int, ell: int) -> Derivation:
+def build_phi(j: int, ell: int) -> Derivation:
     """phi_j for 1 <= j <= ell, from the one formula of the module doc.
 
     Every coefficient is summed over the integers: the products go into one
     integer term dict under the common denominator of the Bbar's, and one
     Poly is built at the end.
     """
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    if not 1 <= j <= ell:
+        raise ValueError(f"j must be in 1..{ell}")
     check_rank_fits(ell)
     nvars = ell + 1
     z = Poly.variable(nvars, nvars - 1)
@@ -224,22 +225,6 @@ def _build_phi(j: int, ell: int) -> Derivation:
     )
 
 
-def build_phi(j: int, ell: int) -> Derivation:
-    """The derivation phi_j for 1 <= j <= ell - 1."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    if not 1 <= j <= ell - 1:
-        raise ValueError(f"j must be in 1..{ell - 1}")
-    return _build_phi(j, ell)
-
-
-def build_phi_ell(ell: int) -> Derivation:
-    """The derivation phi_ell (the j = ell case, built from Bbar_{-1, k0})."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    return _build_phi(ell, ell)
-
-
 def build_euler(ell: int) -> Derivation:
     """theta_E = z d/dz + sum_i x_i d/dx_i."""
     if ell < 2:
@@ -255,14 +240,10 @@ def build_euler(ell: int) -> Derivation:
 
 def basis(ell: int) -> list[Derivation]:
     """[theta_E, phi_1, ..., phi_ell], the candidate basis at rank ell >= 2."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    derivs = [build_euler(ell)]
-    derivs.extend(build_phi(j, ell) for j in range(1, ell))
-    derivs.append(build_phi_ell(ell))
-    return derivs
+    return [build_euler(ell)] + [build_phi(j, ell) for j in range(1, ell + 1)]
 
 
+# perfbench/tracer.py patches this name to time it
 def apply(theta: Derivation, f: Poly) -> Poly:
     """theta acting on f: sum_i coeff_x[i] * df/dx_i + coeff_z * df/dz."""
     if f.nvars != theta.nvars:
@@ -283,23 +264,12 @@ def apply(theta: Derivation, f: Poly) -> Poly:
 # -- wire format -------------------------------------------------------------
 
 
-def poly_terms_json(poly: Poly) -> list:
-    """[[exponent array, "num", "den"], ...] in descending pure-lex order,
-    integers rendered as decimal strings.  Each term is read from the stored
-    integers, reduced by the gcd of its coefficient and the denominator."""
-    terms, den = poly._terms, poly._den
-    out = []
-    for key in sorted(terms, reverse=True):
-        c = terms[key]
-        g = gcd(c, den)
-        out.append([list(_unpack(key, poly.nvars)), str(c // g), str(den // g)])
-    return out
-
-
 def poly_terms_text(poly: Poly, depth: int) -> str:
-    """The text of json.dumps(poly_terms_json(poly), indent=2) for a value at
-    nesting depth ``depth``, written from the stored integers with no term
-    list built: the same terms, order and reduction as poly_terms_json."""
+    """The JSON text of poly's terms, as json.dumps(indent=2) lays out a
+    value at nesting depth ``depth``: a list of [exponent array, "num",
+    "den"] in descending pure-lex order, integers as decimal strings, each
+    coefficient reduced by the gcd of its numerator and the denominator.
+    Written from the stored integers with no term list built."""
     terms, den, nvars = poly._terms, poly._den, poly.nvars
     if not terms:
         return "[]"
@@ -316,16 +286,10 @@ def poly_terms_text(poly: Poly, depth: int) -> str:
     return "[" + ",".join(out) + i0 + "]"
 
 
-def derivation_to_dict(theta: Derivation) -> dict:
-    """JSON-ready encoding: each coefficient, keyed by its variable name, as
-    poly_terms_json gives it."""
-    names = default_names(theta.nvars)
-    coeffs = {name: poly_terms_json(p) for name, p in zip(names, theta.coefficients())}
-    return {"ell": theta.ell, "name": theta.name, "coeffs": coeffs}
-
-
 def derivation_from_dict(data: dict) -> Derivation:
-    """Inverse of derivation_to_dict."""
+    """The derivation of one entry of ``basis --format json``: {"ell",
+    "name", "coeffs": {variable name: poly_terms_text's term list}}.  The
+    package's one reader of that output."""
     ell = int(data["ell"])
     nvars = ell + 1
     polys = []

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from shidcone.arrangement import (
     LinearForm,
-    defining_poly,
     restriction_table,
     shi_d_cone,
 )
@@ -51,6 +51,11 @@ def test_linear_form_validation():
         LinearForm((0, 0, 0))
     with pytest.raises(ValueError):
         LinearForm((2, 0, 0))  # not normalized
+
+
+def defining_poly(arr):
+    """Q, the product of the hyperplane forms."""
+    return math.prod((f.poly() for f in arr.forms), start=Poly.one(arr.nvars))
 
 
 def test_defining_poly_ell2():

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from shidcone.cli import main
-from shidcone.shi_basis import basis, derivation_from_dict
+from shidcone.shi_basis import derivation_from_dict
 from shidcone.verify import saito_verify
 
 
@@ -167,12 +167,13 @@ def test_json_round_trips_through_parser(capsys):
     assert payload[0]["coeffs"]["x1"] == [[[1, 0, 0], "1", "1"]]
 
 
-def test_basis_reparsed_verifies_identically(capsys):
-    _, out, _ = invoke(capsys, "basis", "--ell", "2", "--format", "json")
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_basis_reparsed_verifies_identically(capsys, cached_basis, ell):
+    _, out, _ = invoke(capsys, "basis", "--ell", str(ell), "--format", "json")
     parsed = [derivation_from_dict(d) for d in json.loads(out)]
-    assert parsed == basis(2)
-    direct = saito_verify(2).summary_dict()
-    reparsed = saito_verify(2, derivs=parsed).summary_dict()
+    assert parsed == cached_basis(ell)
+    direct = saito_verify(ell).summary_dict()
+    reparsed = saito_verify(ell, derivs=parsed).summary_dict()
     assert direct == reparsed
 
 
@@ -361,14 +362,12 @@ def test_kernel_json_is_pinned(capsys, command, method, ell):
 
 def test_json_commands_build_no_term_lists(capsys, monkeypatch):
     # every polynomial is written from its stored integers: no handler
-    # builds poly_terms_json's nested lists first
+    # builds a nested term list first
     import shidcone.cli as cli_mod
-    import shidcone.shi_basis as shi_basis_mod
 
     def must_not_run(*args):
         raise AssertionError("a term list was built")
 
-    monkeypatch.setattr(shi_basis_mod, "poly_terms_json", must_not_run)
     for name in ("poly_terms_json", "derivation_to_dict"):
         monkeypatch.setattr(cli_mod, name, must_not_run, raising=False)
     pins = {

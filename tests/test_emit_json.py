@@ -14,11 +14,16 @@ from hypothesis import strategies as st
 
 from shidcone.cli import emit_json
 from shidcone.exactpoly import FIELD_MASK, Poly
-from shidcone.shi_basis import poly_terms_json
 
 
 def reference(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def poly_terms_json(poly: Poly) -> list:
+    """[[exponent array, "num", "den"], ...] in descending pure-lex order,
+    each coefficient in lowest terms, integers as decimal strings."""
+    return [[list(mono), str(c.numerator), str(c.denominator)] for mono, c in poly.terms()]
 
 
 def decoded(obj):

@@ -17,11 +17,39 @@ from shidcone.exactpoly import (
     _unpack,
     clear_denominators,
     divides,
-    division_with_remainder,
     elementary_symmetric,
     exact_div,
     remap_variables,
 )
+
+
+def division_with_remainder(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Single-divisor division under pure lex: (q, r) with a = q*b + r and
+    no monomial of r divisible by in(b), so r == 0 iff b divides a.
+
+    The reference for divides and exact_div, written apart from their loop:
+    on exponent tuples (tuple order is pure lex) and Fractions.
+    """
+    rest = dict(b.terms())
+    lead = max(rest)
+    lc = rest.pop(lead)
+    work = dict(a.terms())
+    quo, rem = {}, {}
+    while work:
+        mono = max(work)
+        c = work.pop(mono)
+        if any(m < e for m, e in zip(mono, lead)):
+            rem[mono] = c
+            continue
+        step = tuple(m - e for m, e in zip(mono, lead))
+        quo[step] = c / lc
+        for bm, bc in rest.items():
+            nm = tuple(s + e for s, e in zip(step, bm))
+            v = work.pop(nm, 0) - quo[step] * bc
+            if v:
+                work[nm] = v
+    return Poly.from_terms(a.nvars, quo), Poly.from_terms(a.nvars, rem)
+
 
 N = 3  # x1, x2, z
 X1 = Poly.variable(N, 0)

@@ -10,9 +10,6 @@ from shidcone.shi_basis import (
     basis,
     build_euler,
     build_phi,
-    build_phi_ell,
-    derivation_from_dict,
-    derivation_to_dict,
     enumerate_k1_k2,
     term_indices,
 )
@@ -65,7 +62,7 @@ def test_phi1_golden_ell2():
 
 def test_phi2_golden_ell2():
     x1, x2, z = vars_for(2)
-    phi2 = build_phi_ell(2)
+    phi2 = build_phi(2, 2)
     assert phi2.coeff_x[0] == 2 * x1 * x2 - x2 * z
     assert phi2.coeff_x[1] == x1**2 + x2**2 - x1 * z
     assert phi2.coeff_z.is_zero()
@@ -73,13 +70,13 @@ def test_phi2_golden_ell2():
 
 def test_phi2_sends_x1_plus_x2_to_product_of_forms():
     x1, x2, z = vars_for(2)
-    phi2 = build_phi_ell(2)
+    phi2 = build_phi(2, 2)
     assert apply(phi2, x1 + x2) == (x1 + x2) * (x1 + x2 - z)
 
 
 def test_phi2_applied_to_difference():
     x1, x2, z = vars_for(2)
-    phi2 = build_phi_ell(2)
+    phi2 = build_phi(2, 2)
     assert apply(phi2, x1 - x2) == -(x1 - x2) * (x1 - x2 - z)
 
 
@@ -121,9 +118,14 @@ def test_basis_invalid_rank():
     with pytest.raises(ValueError):
         basis(1)
     with pytest.raises(ValueError):
-        build_phi(2, 2)  # j must be < ell
+        build_phi(3, 2)  # j must be <= ell
     with pytest.raises(ValueError):
         build_phi(0, 3)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_build_phi_ell_is_last_basis_field(ell, cached_basis):
+    assert build_phi(ell, ell) == cached_basis(ell)[-1]
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5])
@@ -176,16 +178,6 @@ def test_determinism():
     b = basis(3)
     for da, db in zip(a, b):
         assert da == db
-
-
-def test_json_round_trip(cached_basis):
-    for d in cached_basis(3):
-        encoded = derivation_to_dict(d)
-        decoded = derivation_from_dict(encoded)
-        assert decoded == d
-    enc = derivation_to_dict(cached_basis(2)[0])
-    assert enc["name"] == "euler"
-    assert enc["coeffs"]["x1"] == [[[1, 0, 0], "1", "1"]]
 
 
 # -- Leibniz rule property test -------------------------------------------------

@@ -1,10 +1,11 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
 
 from shidcone import detkernel, verify
-from shidcone.arrangement import Arrangement, LinearForm, defining_poly, shi_d_cone
+from shidcone.arrangement import Arrangement, LinearForm, shi_d_cone
 from shidcone.exactpoly import ExponentOverflowError, Poly, divides, exact_div
 from shidcone.shi_basis import Derivation, apply, basis
 from shidcone.verify import (
@@ -490,7 +491,7 @@ def test_det_equals_scaled_defining_poly(cached_basis):
     for ell in (2, 3):
         report = saito_verify(ell)
         arr = shi_d_cone(ell)
-        q = defining_poly(arr)
+        q = math.prod((f.poly() for f in arr.forms), start=Poly.one(arr.nvars))
         z = Poly.variable(ell + 1, ell)
         assert report.det_phi * z == q * report.det_constant
 
