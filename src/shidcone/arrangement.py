@@ -1,17 +1,20 @@
-"""The cone over the Shi arrangement of type D: its hyperplane forms.
+"""Central arrangements in x1, ..., xl, z, and the cone over the Shi
+arrangement of type D.
 
-The arrangement lives in variables x1, ..., xl, z and consists of the
-hyperplane z = 0 together with, for every 1 <= s < t <= l and eps in
-{+1, -1}, the hyperplanes  x_s + eps*x_t = 0  and  x_s + eps*x_t - z = 0.
-That is 2*l*(l-1) + 1 hyperplanes; the defining polynomial Q is their
-product.  The Coxeter number of type D_l is h = 2l - 2.
+A hyperplane is stored as its primitive integer normal, and an arrangement
+is plain data: its rank and its forms, which every check reads as given.
+The type-D Shi cone consists of the hyperplane z = 0 together with, for
+every 1 <= s < t <= l and eps in {+1, -1}, the hyperplanes
+x_s + eps*x_t = 0  and  x_s + eps*x_t - z = 0.  That is 2*l*(l-1) + 1
+hyperplanes; the defining polynomial Q is their product.  The Coxeter
+number of type D_l is h = 2l - 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .exactpoly import (
     FIELD_MASK,
@@ -19,26 +22,23 @@ from .exactpoly import (
     Poly,
     clear_denominators,
     fma_terms,
-    integer_coeffs,
 )
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
 class LinearForm:
-    """A nonzero linear form, normalized so the lex-first nonzero
-    coefficient equals +1.  Coefficient order: x1, ..., xl, z."""
+    """A hyperplane by its primitive integer normal: ints with gcd 1 and a
+    positive lex-first nonzero entry, in the order x1, ..., xl, z.  Two
+    forms define one hyperplane iff their coefficients are equal."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         lead = next((c for c in self.coeffs if c), None)
         if lead is None:
             raise ValueError("linear form must be nonzero")
-        if lead != 1:
-            raise ValueError("linear form must be normalized to leading coefficient 1")
+        if lead < 0 or gcd(*self.coeffs) != 1:
+            raise ValueError("linear form must be primitive with a positive leading coefficient")
 
     @property
     def nvars(self) -> int:
@@ -54,25 +54,25 @@ class LinearForm:
 @lru_cache(maxsize=None)
 def restriction_table(
     form: LinearForm, degree: int
-) -> tuple[int, tuple[int, ...], tuple[dict[int, int], ...]]:
+) -> tuple[int, tuple[dict[int, int], ...]]:
     """The restriction of polynomials of total degree at most ``degree`` to
     the hyperplane of ``form``, over the integers.
 
-    Cleared to integer coefficients A, the form is L x_s + B with x_s its
-    lex-first variable, L = A_s and B free of x_s, so the restriction sends
-    x_s to -B/L.  Returns s, A and, for e = 0..degree, the integer terms
-    (on exactpoly's packed keys) of L^(degree - e) (-B)^e, which is x_s^e
-    restricted and scaled by L^degree: summing each x_s^e part of f times
-    its entry gives L^degree * f(x_s := -B/L).  The entries are shared by
-    every caller and must not be changed.  A degree above FIELD_MASK raises
+    The form is L x_s + B with x_s its lex-first variable, L its
+    coefficient and B free of x_s, so the restriction sends x_s to -B/L.
+    Returns s and, for e = 0..degree, the integer terms (on exactpoly's
+    packed keys) of L^(degree - e) (-B)^e, which is x_s^e restricted and
+    scaled by L^degree: summing each x_s^e part of f times its entry gives
+    L^degree * f(x_s := -B/L).  The entries are shared by every caller and
+    must not be changed.  A degree above FIELD_MASK raises
     ExponentOverflowError, since (-B)^degree would carry out of its fields.
     """
     if degree > FIELD_MASK:
         raise ExponentOverflowError(f"total degree {degree} > {FIELD_MASK}")
-    ints = tuple(integer_coeffs(form.coeffs))
-    s = next(i for i, a in enumerate(ints) if a)
-    lead = ints[s]
-    b = Poly.linear_form(form.nvars, [0 if i == s else -a for i, a in enumerate(ints)])
+    coeffs = form.coeffs
+    s = next(i for i, a in enumerate(coeffs) if a)
+    lead = coeffs[s]
+    b = Poly.linear_form(form.nvars, [0 if i == s else -a for i, a in enumerate(coeffs)])
     (neg_b,), _ = clear_denominators([b])
     powers = [{0: 1}]
     for _ in range(degree):
@@ -82,16 +82,15 @@ def restriction_table(
     table = tuple(
         {k: c * lead ** (degree - e) for k, c in p.items()} for e, p in enumerate(powers)
     )
-    return s, ints, table
+    return s, table
 
 
 @dataclass(frozen=True)
 class Arrangement:
-    """The cone of the type-D Shi arrangement at rank ``ell``."""
+    """A central arrangement in x1, ..., x_ell, z, given by its forms."""
 
     ell: int
     forms: tuple[LinearForm, ...]
-    h: int  # Coxeter number, 2*ell - 2
 
     @property
     def nvars(self) -> int:
@@ -99,7 +98,7 @@ class Arrangement:
 
 
 def shi_d_cone(ell: int) -> Arrangement:
-    """Build the arrangement for rank ``ell`` >= 2.
+    """Build the cone over the type-D Shi arrangement for rank ``ell`` >= 2.
 
     Enumeration order (fixed for reproducible reports): z first, then (s, t)
     lexicographic, eps = +1 before -1, and for each (s, t, eps) the
@@ -108,19 +107,13 @@ def shi_d_cone(ell: int) -> Arrangement:
     if ell < 2:
         raise ValueError("ell must be >= 2")
     n = ell + 1
-    forms: list[LinearForm] = []
-    z_coeffs = [_F0] * n
-    z_coeffs[-1] = _F1
-    forms.append(LinearForm(tuple(z_coeffs)))
+    forms = [LinearForm((0,) * ell + (1,))]
     for s in range(ell - 1):
         for t in range(s + 1, ell):
             for eps in (1, -1):
                 for shift in (0, -1):
-                    coeffs = [_F0] * n
-                    coeffs[s] = _F1
-                    coeffs[t] = Fraction(eps)
-                    coeffs[-1] = Fraction(shift)
+                    coeffs = [0] * n
+                    coeffs[s], coeffs[t], coeffs[-1] = 1, eps, shift
                     forms.append(LinearForm(tuple(coeffs)))
     assert len(forms) == 2 * ell * (ell - 1) + 1
-    return Arrangement(ell=ell, forms=tuple(forms), h=2 * ell - 2)
-
+    return Arrangement(ell=ell, forms=tuple(forms))

@@ -435,12 +435,6 @@ def clear_denominators(polys: Sequence[Poly]) -> tuple[list[dict[int, int]], int
     return [{k: c * (den // f._den) for k, c in f._terms.items()} for f in polys], den
 
 
-def integer_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    """The rational vector ``coeffs`` scaled by the lcm of its denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs]
-
-
 def fma_terms(
     out: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], scale: int = 1
 ) -> None:

@@ -26,7 +26,7 @@ from math import comb, gcd
 from operator import add
 from typing import Iterable, Iterator
 
-from .arrangement import restriction_table, shi_d_cone
+from .arrangement import Arrangement, restriction_table, shi_d_cone
 from .exactpoly import FIELD_MASK, _pack, _unpack, clear_denominators
 from .shi_basis import Derivation, basis
 
@@ -113,9 +113,9 @@ def _pivot_rows(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _membership_rows(ell: int, d: int) -> tuple[int, Iterator[dict[int, int]]]:
+def _membership_rows(arr: Arrangement, d: int) -> tuple[int, Iterator[dict[int, int]]]:
     """Linear system whose null space is the degree-d graded piece of the
-    derivation module.
+    derivation module of ``arr``.
 
     Unknowns: one coefficient per (variable slot v, degree-d monomial m).
     For every hyperplane form alpha the polynomial theta(alpha) =
@@ -123,22 +123,20 @@ def _membership_rows(ell: int, d: int) -> tuple[int, Iterator[dict[int, int]]]:
     substitution x_s := -(sum over i != s of alpha_i x_i) / alpha_s for the
     lex-leading variable x_s of alpha; each coefficient of the substituted
     polynomial is one linear equation.  The substitution is
-    ``arrangement.restriction_table``: the equations of a form are taken for
-    its integer multiple A, and the substituted polynomial is multiplied by
-    A_s^d, nonzero integer scalings that make the equations integer and
-    leave their span unchanged.
+    ``arrangement.restriction_table``: the substituted polynomial is
+    multiplied by alpha_s^d, a nonzero integer scaling that makes the
+    equations integer and leaves their span unchanged.
     """
-    nvars = ell + 1
-    arr = shi_d_cone(ell)
+    nvars = arr.nvars
     monos = list(monomials_of_degree(nvars, d))
     n_mono = len(monos)
     n_unknowns = nvars * n_mono
 
     def rows() -> Iterator[dict[int, int]]:
         for form in arr.forms:
-            # table[k]: x_s^k after the substitution, times A_s^d
-            s, ints, table = restriction_table(form, d)
-            support = [(v, av) for v, av in enumerate(ints) if av]
+            # table[k]: x_s^k after the substitution, times alpha_s^d
+            s, table = restriction_table(form, d)
+            support = [(v, av) for v, av in enumerate(form.coeffs) if av]
             by_target: dict[int, dict[int, int]] = {}
             for j, m in enumerate(monos):
                 rest = _pack(m[:s] + (0,) + m[s + 1 :])
@@ -157,7 +155,7 @@ def derivation_dim(ell: int, d: int) -> int:
     coefficients preserving every hyperplane, by exact linear algebra."""
     if ell < 2 or d < 0:
         raise ValueError("require ell >= 2 and d >= 0")
-    n_unknowns, rows = _membership_rows(ell, d)
+    n_unknowns, rows = _membership_rows(shi_d_cone(ell), d)
     return n_unknowns - _sparse_rank(rows)
 
 
@@ -229,8 +227,8 @@ def _is_prime(n: int) -> bool:
 
 
 def charpoly_count(ell: int, q: int) -> int:
-    """Number of points of F_q^(l+1) lying on none of the hyperplanes,
-    by a backtracking count on the slice z = 1.
+    """Number of points of F_q^(l+1) lying on none of the hyperplanes of
+    ``shi_d_cone(ell)``, counted on the slice z = 1.
 
     The point count is Athanasiadis's finite-field method for the
     characteristic polynomial ("Characteristic polynomials of subspace
@@ -239,18 +237,8 @@ def charpoly_count(ell: int, q: int) -> int:
     a bijection from the slice at z onto the slice z = 1, and it preserves
     every form of the cone: x_s + eps*x_t - k*z vanishes at (x, z) iff
     x_s/z + eps*x_t/z - k vanishes.  So every nonzero slice has the same
-    count, and the total is (q - 1) times the count of the slice z = 1.
-
-    The slice is counted by choosing x_1, x_2, ... in turn.  Apart from z,
-    which is 1 on the slice, each form of ``shi_d_cone`` involves two
-    x-variables x_s, x_t (s < t), with a unit coefficient at x_t mod q, so
-    once x_s is fixed the form forbids exactly one value of x_t.  A table
-    per pair s < t gives, for each value of x_s, the values its forms
-    forbid for x_t, as a bitmask.  Each coordinate takes only the values
-    its earlier coordinates allow, and at the last one the count adds q
-    minus the number forbidden instead of recursing.  So the search visits
-    only the prefixes x_1..x_k, k < l, that lie on no form in those
-    variables: 2,440 for (l, q) = (4, 17) and 1,938,905 for (9, 19).
+    count, and the total is (q - 1) times the count of the slice z = 1,
+    which ``_search_slice`` takes.
 
     Requires q an odd prime with q > 2l - 1 (small q below that boundary
     produce degenerate reductions).  ValueError is raised once the search
@@ -265,11 +253,30 @@ def charpoly_count(ell: int, q: int) -> int:
         raise ValueError(f"q = {q} too small for ell = {ell} (need q > {2 * ell - 1})")
     if ell * (ell - 1) // 2 * q > PREFIX_CAP:
         raise ValueError(f"the tables for ell = {ell}, q = {q} pass the {PREFIX_CAP:,} prefix cap")
+    return (q - 1) * _search_slice(shi_d_cone(ell), q)
+
+
+def _search_slice(arr: Arrangement, q: int) -> int:
+    """Points of the slice z = 1 of F_q^(l+1) on none of the hyperplanes
+    of ``arr``, by backtracking.
+
+    Every form of ``arr`` other than z must involve exactly two x-variables
+    x_s, x_t (s < t), with a coefficient prime to q at x_t, so once x_s is
+    fixed it forbids exactly one value of x_t; and l = arr.ell >= 2.  A
+    table per pair s < t gives, for each value of x_s, the values its forms
+    forbid for x_t, as a bitmask.  The search chooses x_1, x_2, ... in
+    turn, each among the values its earlier coordinates allow, and at the
+    last one adds q minus the number forbidden instead of recursing.  So it
+    visits only the prefixes x_1..x_k, k < l, on no form in those
+    variables: 2,440 for ``shi_d_cone(4)`` at q = 17 and 1,938,905 for
+    ``shi_d_cone(9)`` at q = 19.  ValueError is raised past PREFIX_CAP.
+    """
+    ell = arr.ell
     # bans[s][t][v]: the values of coordinate t (from 0) that the forms in
     # coordinates s < t forbid when coordinate s is v, as a bitmask
     bans: list[dict[int, list[int]]] = [{} for _ in range(ell)]
-    for form in shi_d_cone(ell).forms:
-        *xs, k = (c.numerator * pow(c.denominator, -1, q) for c in form.coeffs)
+    for form in arr.forms:
+        *xs, k = form.coeffs
         support = [(s, c) for s, c in enumerate(xs) if c]
         if not support:
             continue  # z, which is 1 on the slice
@@ -299,7 +306,7 @@ def charpoly_count(ell: int, q: int) -> int:
             total += q - child[-1].bit_count() if i + 2 == ell else search(i + 1, child)
         return total
 
-    return (q - 1) * search(0, [0] * ell)
+    return search(0, [0] * ell)
 
 
 def expected_count(ell: int, q: int) -> int:

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from shidcone import oracle
 from shidcone.arrangement import Arrangement, LinearForm, shi_d_cone
-from shidcone.exactpoly import integer_coeffs
 from shidcone.oracle import (
     _derivation_vector,
     _membership_rows,
     _pivot_rows,
+    _search_slice,
     _sparse_rank,
     basis_span_rank_at_h,
     charpoly_count,
@@ -145,7 +145,8 @@ def _sparse_rational_rows(draw):
 
 
 def _cleared(row: dict[int, Fraction]) -> dict[int, int]:
-    return dict(zip(row, integer_coeffs(list(row.values()))))
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
 
 
 @settings(max_examples=100, deadline=None)
@@ -156,11 +157,6 @@ def test_integer_rank_matches_fraction_elimination(rows):
     for c, row in _pivot_rows(cleared).items():
         assert min(row) == c and all(row.values())
         assert gcd(*row.values()) == 1  # content divided out
-
-
-def test_integer_coeffs_scale_instead_of_truncating():
-    assert integer_coeffs([Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5)]) == [3, -4, 0, 30]
-    assert integer_coeffs([Fraction(4), Fraction(-6)]) == [4, -6]
 
 
 def test_derivation_vectors_scale_fractional_coefficients():
@@ -179,29 +175,23 @@ def test_derivation_vectors_scale_fractional_coefficients():
         assert len({vec[u] / c for u, c in coeffs.items()}) == 1  # one common scale
 
 
-def test_membership_rows_scale_fractional_forms(monkeypatch):
-    # two planes through the z axis, 2*x1 = x2 and x1 = x2, one of them
-    # written with a fraction: a free arrangement with exponents (0, 1, 1)
-    forms = (
-        LinearForm((Fraction(1), Fraction(-1, 2), Fraction(0))),
-        LinearForm((Fraction(1), Fraction(-1), Fraction(0))),
-    )
-    monkeypatch.setattr(oracle, "shi_d_cone", lambda ell: Arrangement(ell, forms, 2))
+def test_membership_rows_scale_non_unit_leads():
+    # two planes through the z axis, 2*x1 = x2 and x1 = x2, one of them led
+    # by 2: a free arrangement with exponents (0, 1, 1)
+    arr = Arrangement(2, (LinearForm((2, -1, 0)), LinearForm((1, -1, 0))))
     for d in range(4):
-        assert derivation_dim(2, d) == comb(d + 2, 2) + 2 * comb(d + 1, 2)
+        n_unknowns, rows = _membership_rows(arr, d)
+        assert n_unknowns - _sparse_rank(rows) == comb(d + 2, 2) + 2 * comb(d + 1, 2)
     # every equation holds for the Euler field, whose coefficient in slot v
     # is x_v: unknown (v, x_v) is v * 3 + v in degree 1
-    _, rows = _membership_rows(2, 1)
+    _, rows = _membership_rows(arr, 1)
     for row in rows:
         assert sum(row.get(4 * v, 0) for v in range(3)) == 0
 
 
 def _full_count(ell: int, q: int) -> int:
     """Points of F_q^(l+1), over every z and x, on none of the hyperplanes."""
-    forms = []
-    for form in shi_d_cone(ell).forms:
-        den = lcm(*(c.denominator for c in form.coeffs))
-        forms.append([c.numerator * (den // c.denominator) for c in form.coeffs])
+    forms = [form.coeffs for form in shi_d_cone(ell).forms]
     return sum(
         all(sum(a * x for a, x in zip(form, point)) % q for form in forms)
         for point in product(range(q), repeat=ell + 1)
@@ -227,7 +217,7 @@ def test_charpoly_cap_applies_to_the_slice(monkeypatch):
 
 def _slice_count(ell: int, q: int) -> int:
     """(q - 1) times the points of the slice z = 1 on none of the hyperplanes."""
-    forms = [tuple(map(int, form.coeffs)) for form in shi_d_cone(ell).forms]
+    forms = [form.coeffs for form in shi_d_cone(ell).forms]
     points = product(*[range(q)] * ell, [1])
     return (q - 1) * sum(all(sum(map(mul, form, x)) % q for form in forms) for x in points)
 
@@ -252,20 +242,39 @@ def test_backtracking_count_matches_slice_enumeration(case):
 def _drop_first_shifted_form(ell: int) -> Arrangement:
     arr = shi_d_cone(ell)
     assert arr.forms[2].text() == "x1 + x2 - z"
-    return Arrangement(ell, arr.forms[:2] + arr.forms[3:], arr.h)
+    return Arrangement(ell, arr.forms[:2] + arr.forms[3:])
 
 
 def _add_form(ell: int) -> Arrangement:
-    arr = shi_d_cone(ell)
-    extra = LinearForm((Fraction(1), Fraction(1)) + (Fraction(0),) * (ell - 2) + (Fraction(-2),))
+    extra = LinearForm((1, 1) + (0,) * (ell - 2) + (-2,))
     assert extra.text() == "x1 + x2 - 2*z"
-    return Arrangement(ell, arr.forms + (extra,), arr.h)
+    return Arrangement(ell, shi_d_cone(ell).forms + (extra,))
 
 
 @pytest.mark.parametrize("ell,q", [(3, 7), (4, 11)])
-def test_charpoly_count_reads_the_forms(monkeypatch, ell, q):
+def test_charpoly_count_reads_the_forms(ell, q):
     # the count says no to an arrangement with one form fewer or one more
-    assert charpoly_count(ell, q) == expected_count(ell, q)
+    expected = expected_count(ell, q)
+    assert charpoly_count(ell, q) == expected == (q - 1) * _search_slice(shi_d_cone(ell), q)
     for mutant in (_drop_first_shifted_form, _add_form):
-        monkeypatch.setattr(oracle, "shi_d_cone", mutant)
-        assert charpoly_count(ell, q) != expected_count(ell, q)
+        assert (q - 1) * _search_slice(mutant(ell), q) != expected
+
+
+@pytest.mark.parametrize(
+    "mutant,ell,degree,dim",
+    [
+        (_drop_first_shifted_form, 2, 1, 2),
+        (_drop_first_shifted_form, 3, 5, 48),
+        (_add_form, 2, 2, 4),
+        (_add_form, 3, 4, 22),
+    ],
+)
+def test_derivation_dim_reads_the_forms(mutant, ell, degree, dim):
+    # the dimension system says no to an arrangement with one form fewer or
+    # one more: its nullity first leaves the prediction at this degree
+    arr, dims = mutant(ell), []
+    for d in range(2 * ell + 1):
+        n_unknowns, rows = _membership_rows(arr, d)
+        dims.append(n_unknowns - _sparse_rank(rows))
+    first = next(d for d, n in enumerate(dims) if n != expected_dim(ell, d))
+    assert (first, dims[first]) == (degree, dim)

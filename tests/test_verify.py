@@ -9,8 +9,10 @@ from shidcone.arrangement import Arrangement, LinearForm, shi_d_cone
 from shidcone.exactpoly import ExponentOverflowError, Poly, divides, exact_div
 from shidcone.shi_basis import Derivation, apply, basis
 from shidcone.verify import (
+    _NO_DET,
     VerificationReport,
     _column_reduced_int_matrix,
+    _det_certify,
     _det_expand,
     bareiss_det,
     check_membership,
@@ -109,15 +111,15 @@ def test_membership_matches_apply_then_divide(cached_basis, ell):
 
 
 def test_membership_matches_apply_then_divide_on_other_forms():
-    # forms the Shi cone never uses: z, one led by x2, and one whose other
-    # coefficients are fractions, so the restriction runs scaled by a lead 2
+    # forms the Shi cone never uses: z, and two with leads 3 and 2 (one of
+    # them led by x2), so the restriction runs scaled by a non-unit lead
     n = 4
     forms = (
         LinearForm((0, 0, 0, 1)),
-        LinearForm((0, 1, Fraction(2, 3), -1)),
-        LinearForm((1, Fraction(-1, 2), 0, -3)),
+        LinearForm((0, 3, 2, -3)),
+        LinearForm((2, -1, 0, -6)),
     )
-    arr = Arrangement(ell=3, forms=forms, h=4)
+    arr = Arrangement(ell=3, forms=forms)
     x = [Poly.variable(n, i) for i in range(n)]
     q = x[0] * x[1] ** 2 * Fraction(1, 5) - x[2] ** 3
     for f in forms:
@@ -328,6 +330,18 @@ def test_certify_det_initial_none_on_wrong_constant(cached_basis):
     assert report.membership_ok and not report.det_matches_corollary
     assert report.det_initial is None
     assert report.det_leading_coefficient is None
+
+
+def test_certify_checks_its_arrangement_premises(cached_basis):
+    # the certificate needs pairwise distinct forms and a point off every
+    # form; x_i = 2 * 3^(i+1) puts (6, 18, 54, 1) on 3*x1 - x2
+    forms = shi_d_cone(3).forms
+    assert forms[1].text() == "x1 + x2"
+    repeated = Arrangement(3, forms + (forms[1],))
+    assert _det_certify(3, cached_basis(3), repeated, True, True) == _NO_DET
+    through_point = Arrangement(3, forms + (LinearForm((3, -1, 0, 0)),))
+    with pytest.raises(AssertionError, match="evaluation point lies on the arrangement"):
+        _det_certify(3, cached_basis(3), through_point, True, True)
 
 
 def _z_row_mutants(derivs):
