@@ -2,11 +2,12 @@
  *
  * A polynomial is an open-addressing hash table mapping a packed monomial
  * key (int64, at most 56 bits used) to a 128-bit signed coefficient.  The
- * operations are the ones the determinant verification is hot on: fused
- * multiply-accumulate and scaled comparison.  All arithmetic is exact: each
- * addition and multiplication of values is checked where it happens, and one
- * that would leave the signed 128-bit range is refused, never wrapped.  The
- * Python wrapper (detkernel.IntPoly) validates keys and loaded values.
+ * one arithmetic operation is the fused multiply-accumulate that the
+ * determinant verification is hot on; two tables are compared by an fma
+ * that must cancel.  All arithmetic is exact: each addition and
+ * multiplication of values is checked where it happens, and one that would
+ * leave the signed 128-bit range is refused, never wrapped.  The Python
+ * wrapper (detkernel.IntPoly) validates keys and loaded values.
  *
  * A key lives at the slot given by the low bits of fmix64(key) (the
  * MurmurHash3 finalizer), found by linear probing.  Packed keys differ in a
@@ -84,7 +85,8 @@ static int64_t tab_slot(const sdc_tab *t, int64_t key) {
     return i;
 }
 
-static int tab_grow(sdc_tab *t) {
+/* inline (also tab_add): else gcc 12 -O3 calls tab_add out of sdc_fma */
+static inline int tab_grow(sdc_tab *t) {
     sdc_tab nt;
     int64_t i;
     if (tab_init(&nt, t->cap)) return -1;
@@ -102,7 +104,7 @@ static int tab_grow(sdc_tab *t) {
     return 0;
 }
 
-static int tab_add(sdc_tab *t, int64_t key, acc_t v) {
+static inline int tab_add(sdc_tab *t, int64_t key, acc_t v) {
     int64_t i = tab_slot(t, key);
     if (t->keys[i] == key) {
         acc_t old = t->vals[i], sum;
@@ -229,25 +231,6 @@ int sdc_fma(sdc_tab *acc, const sdc_tab *a, const sdc_tab *b, int sign) {
     }
     free(bk); free(bv);
     return rc;
-}
-
-/* 1 iff ca * a == cb * b termwise, else 0; -2 if a scaled value it
- * compares would overflow. */
-int sdc_equal_scaled(const sdc_tab *a, const sdc_tab *b, int64_t ca, int64_t cb) {
-    int64_t i;
-    if (sdc_nnz(a) != sdc_nnz(b)) return 0;
-    for (i = 0; i < a->cap; i++) {
-        int64_t j;
-        acc_t sa, sb;
-        if (a->keys[i] == -1 || a->vals[i] == 0) continue;
-        j = tab_slot(b, a->keys[i]);
-        if (b->keys[j] != a->keys[i]) return 0;
-        if (__builtin_mul_overflow(a->vals[i], (acc_t)ca, &sa)
-            || __builtin_mul_overflow(b->vals[j], (acc_t)cb, &sb))
-            return -2;
-        if (sa != sb) return 0;
-    }
-    return 1;
 }
 
 /* The largest key with a nonzero coefficient, its value written to

@@ -19,7 +19,8 @@ The last two raise ExponentOverflowError where a packed exponent could
 carry into the next field (``exactpoly.check_field_room``).  Two
 interchangeable implementations provide the kernel polynomial
 (``IntPolyLike``: ``from_dict``, ``to_dict``, ``nnz``, ``is_zero``, ``fma``,
-``equal_scaled``, ``lead``):
+``lead``; ``fma`` is the one arithmetic operation, and two polynomials are
+compared by subtracting one from the other with it and asking ``is_zero``):
 
   * ``DictPoly`` — pure Python, dict[int, int]; any number of variables.
                    Its ``fma`` is ``exactpoly.fma_terms``, the package's
@@ -86,7 +87,6 @@ class IntPolyLike(Protocol):
     def nnz(self) -> int: ...
     def is_zero(self) -> bool: ...
     def fma(self, a, b, sign: int) -> None: ...
-    def equal_scaled(self, ca: int, other, cb: int) -> bool: ...
     def lead(self) -> tuple[int, int] | None: ...
 
 
@@ -122,15 +122,6 @@ class DictPoly:
             raise ValueError("fma operands must not alias the accumulator")
         fma_terms(self.d, a.d, b.d, sign)
 
-    def equal_scaled(self, ca: int, other: "DictPoly", cb: int) -> bool:
-        a, b = self.d, other.d
-        if len(a) != len(b):
-            return False
-        for k, v in a.items():
-            if k not in b or ca * v != cb * b[k]:
-                return False
-        return True
-
     def lead(self) -> tuple[int, int] | None:
         key = max(self.d, default=None)
         return None if key is None else (key, self.d[key])
@@ -140,7 +131,6 @@ class DictPoly:
 
 KEY_LIMIT = 1 << 56  # packed keys must stay below this
 _VALUE_LIMIT = 1 << 127  # values lie in [-_VALUE_LIMIT, _VALUE_LIMIT)
-_INT64_LIMIT = 1 << 63
 _MASK64 = (1 << 64) - 1
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_detkernel.c")
@@ -157,7 +147,6 @@ _SIGNATURES = {
     "sdc_nnz": (c_int64, [c_void_p]),
     "sdc_dump": (None, [c_void_p, _P64, POINTER(c_uint64), _P64]),
     "sdc_fma": (c_int, [c_void_p, c_void_p, c_void_p, c_int]),
-    "sdc_equal_scaled": (c_int, [c_void_p, c_void_p, c_int64, c_int64]),
     "sdc_lead": (c_int64, [c_void_p, POINTER(c_uint64), _P64]),
 }
 
@@ -270,20 +259,19 @@ def _check_value(v: int) -> None:
         raise OverflowError("coefficient outside the kernel's range [-2**127, 2**127)")
 
 
-def _check(rc: int) -> int:
-    """The C function's result, or its failure code as an exception."""
+def _check(rc: int) -> None:
+    """Raise the C function's failure code as an exception."""
     if rc == -1:
         raise MemoryError("IntPoly growth failed")
     if rc == -2:
         raise OverflowError("value left the kernel's range [-2**127, 2**127)")
-    return rc
 
 
 class IntPoly:
     """Packed-key integer polynomial backed by the C hash table of
     ``_detkernel.c``.  Values lie in [-2^127, 2^127): loading one outside
-    that range, or an ``fma`` or ``equal_scaled`` whose arithmetic would
-    leave it, raises OverflowError; nothing wraps."""
+    that range, or an ``fma`` whose arithmetic would leave it, raises
+    OverflowError; nothing wraps."""
 
     __slots__ = ("_t",)
 
@@ -338,13 +326,6 @@ class IntPoly:
         if a is self or b is self:
             raise ValueError("fma operands must not alias the accumulator")
         _check(_lib.sdc_fma(self._t, a._t, b._t, sign))
-
-    def equal_scaled(self, ca: int, other: "IntPoly", cb: int) -> bool:
-        """True iff ca * self == cb * other termwise (ca, cb Python ints)."""
-        # ctypes would silently truncate a scalar past int64
-        if not (-_INT64_LIMIT <= ca < _INT64_LIMIT and -_INT64_LIMIT <= cb < _INT64_LIMIT):
-            raise OverflowError("comparison scalars outside int64")
-        return bool(_check(_lib.sdc_equal_scaled(self._t, other._t, ca, cb)))
 
     def lead(self) -> tuple[int, int] | None:
         """(largest key with a nonzero value, that value); None if zero."""

@@ -269,7 +269,8 @@ def _search_slice(arr: Arrangement, q: int) -> int:
     last one adds q minus the number forbidden instead of recursing.  So it
     visits only the prefixes x_1..x_k, k < l, on no form in those
     variables: 2,440 for ``shi_d_cone(4)`` at q = 17 and 1,938,905 for
-    ``shi_d_cone(9)`` at q = 19.  ValueError is raised past PREFIX_CAP.
+    ``shi_d_cone(9)`` at q = 19.  ValueError is raised past PREFIX_CAP,
+    and for a form outside that shape, naming it.
     """
     ell = arr.ell
     # bans[s][t][v]: the values of coordinate t (from 0) that the forms in
@@ -280,6 +281,11 @@ def _search_slice(arr: Arrangement, q: int) -> int:
         support = [(s, c) for s, c in enumerate(xs) if c]
         if not support:
             continue  # z, which is 1 on the slice
+        if len(support) != 2 or gcd(support[1][1], q) != 1:
+            raise ValueError(
+                f"cannot search the slice at the form {form.text()}: a form other than z"
+                f" needs exactly two x-variables, the later with a coefficient prime to q = {q}"
+            )
         (s, b), (t, a) = support
         m = -pow(a, -1, q)  # the form vanishes iff x_t = m * (b * x_s + k)
         table = bans[s].setdefault(t, [0] * q)

@@ -26,8 +26,9 @@ Two exact strategies for the determinant identity:
     Factor the common column factor (x_j - x_{j+1} - z) out of column j by
     verified exact division, clear denominators per column, expand the
     reduced determinant by minor-subset dynamic programming over the integer
-    kernel, and compare against the correspondingly reduced right-hand
-    product by exact termwise cross-multiplication.  One DP expands the
+    kernel, and compare it with the correspondingly reduced right-hand
+    product: one side, scaled, is subtracted from the other by the kernel's
+    ``fma``, and the result must cancel to zero.  One DP expands the
     full determinant: it adds the reduced columns one at a time, each with
     its z-row entry 0 in front, phi_l first and phi_1, the sparsest, last,
     since its last step multiplies the largest minors, and then the Euler
@@ -433,22 +434,25 @@ def _det_expand(ell: int, derivs: Sequence[Derivation], impl) -> tuple:
     full_lines = [[zero] + line for line in lines]
     full_lines.append([z_entry] + [e for (e,) in euler_rows])
     full_det, reduced = det_minor_expansion(full_lines, impl)
-    z_times_reduced = impl.from_dict({})
-    z_times_reduced.fma(reduced, z_entry, 1)
+    # So with rs = _reversal_sign, rs(l) * full_det == rs(l + 1) * z *
+    # reduced, checked as full_det - rs(l) * rs(l + 1) * z * reduced == 0.
     # The z row is checked here: without this, a basis with theta_E(z) != z
     # or some phi_j(z) != 0 would pass.
-    full_ok = _z_row_ok(derivs) and full_det.equal_scaled(
-        _reversal_sign(ell), z_times_reduced, _reversal_sign(ell + 1)
-    )
-    # Freed before rhs is built, so that at most three tables of the size of
-    # reduced are alive at once (14.2 million terms each at rank 6).
-    del full_det, z_times_reduced
+    full_det.fma(reduced, z_entry, -_reversal_sign(ell) * _reversal_sign(ell + 1))
+    full_ok = _z_row_ok(derivs) and full_det.is_zero()
+    # Freed before the right-hand product is built, so that at most three
+    # tables of the size of reduced are alive at once (14.2 million terms
+    # each at rank 6).
+    del full_det
     den = _reversal_sign(ell) * scale_prod
     dd = double_factorial(2 * ell - 3)
-    rhs = int_product(_reduced_rhs_factors(ell), impl)
     # det[phi_j(x_i)] = reduced * prod(factors) / den must equal
-    # (1/dd) * rhs * prod(factors):  cross-multiplied integer comparison.
-    matches = (not reduced.is_zero()) and reduced.equal_scaled(dd, rhs, den)
+    # (1/dd) * rhs * prod(factors), rhs the product of the reduced
+    # right-hand factors: den * rhs - dd * reduced == 0.  den goes first in
+    # the chain, so it scales only a one-term table.
+    diff = int_product([{0: den}] + _reduced_rhs_factors(ell), impl)
+    diff.fma(reduced, impl.from_dict({0: dd}), -1)
+    matches = not reduced.is_zero() and diff.is_zero()
     constant = Fraction(1, dd) if matches else None
     return matches, full_ok, constant, (reduced, den, factors, nvars)
 

@@ -2,6 +2,7 @@ import copy
 import ctypes
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -77,14 +78,24 @@ def test_backends_agree_on_fma(seed):
     assert all(r == results[0] for r in results)
 
 
-def test_backend_equal_scaled():
+def test_backend_fma_cancels_to_zero():
+    # tables are compared as expand compares them: 3a - 2b by two fmas
     for impl in {DictPoly, get_impl()}:
-        a = impl.from_dict({1: 2, 256: -4})
-        b = impl.from_dict({1: 3, 256: -6})
-        assert a.equal_scaled(3, b, 2)
-        assert not a.equal_scaled(1, b, 1)
-        c = impl.from_dict({1: 3})
-        assert not a.equal_scaled(3, c, 2)
+        for b, cancels in [({1: 3, 256: -6}, True), ({1: 3, 256: -5}, False), ({1: 3}, False)]:
+            diff = impl.from_dict({})
+            diff.fma(impl.from_dict({1: 2, 256: -4}), impl.from_dict({0: 3}), 1)
+            diff.fma(impl.from_dict(b), impl.from_dict({0: 2}), -1)
+            assert diff.is_zero() == cancels
+            assert (diff.nnz() == 0) == cancels
+
+
+def test_kernel_entry_points_are_the_signatures():
+    # every C entry point has a ctypes signature, so none outlives its last
+    # caller in detkernel
+    with open(detkernel._SOURCE) as f:
+        source = f.read()
+    defined = re.findall(r"^(?!static\b)[A-Za-z][^(;]*\b(sdc_\w+)\(", source, re.M)
+    assert sorted(defined) == sorted(detkernel._SIGNATURES)
 
 
 def test_backend_lead_and_zero():
@@ -360,11 +371,6 @@ def check_range_ends(impl):
     for operands in _FMA_OVERFLOWS:
         with pytest.raises(OverflowError):
             _fma(impl, *operands)
-    big = impl.from_dict({0: 2**100})
-    with pytest.raises(OverflowError):
-        big.equal_scaled(2**40, impl.from_dict({0: 2**100}), 2**40)
-    edge = impl.from_dict({0: 2**64})
-    assert edge.equal_scaled(-(2**63), impl.from_dict({0: -(2**127)}), 1)
 
 
 @pytest.mark.parametrize("operands", _FMA_FITS)
@@ -399,21 +405,15 @@ def test_compiled_tables_copy_at_the_range_ends():
         assert copy.deepcopy(p).to_dict() == d
 
 
-def _power_near(max_exponent):
-    """+-(2^e + d) for e <= max_exponent and |d| <= 2, with extra weight on
-    the exponents next to the int64 and 128-bit ends."""
-    exponent = st.integers(0, max_exponent) | st.sampled_from(
-        [e for e in (0, 1, 62, 63, 64, 125, 126) if e <= max_exponent]
-    )
-    return st.builds(
-        lambda sign, e, d: sign * ((1 << e) + d),
-        st.sampled_from((1, -1)), exponent, st.integers(-2, 2),
-    )
-
-
-_WIDE = _power_near(126)
+# +-(2^e + d) for e <= 126 and |d| <= 2, with extra weight on the exponents
+# next to the int64 and 128-bit ends
+_WIDE = st.builds(
+    lambda sign, e, d: sign * ((1 << e) + d),
+    st.sampled_from((1, -1)),
+    st.integers(0, 126) | st.sampled_from((0, 1, 62, 63, 64, 125, 126)),
+    st.integers(-2, 2),
+)
 _WIDE_TERMS = st.dictionaries(st.integers(0, 2), _WIDE, max_size=2)
-_SCALAR = _power_near(62) | st.integers(-(2**63), 2**63 - 1)
 
 
 def _wrapped(v):
@@ -438,22 +438,13 @@ def _fma_near_the_range_ends(draw):
 
 @_COMPILED
 @settings(max_examples=200, deadline=None)
-@given(_fma_near_the_range_ends(), _WIDE_TERMS, _SCALAR)
-def test_compiled_results_are_exact_or_refused(operands, a, c):
-    # b is c * a as a wrapping kernel would hold it, equal to c * a exactly
-    # when that fits the range
-    b = {k: _wrapped(c * v) for k, v in a.items()}
-    cases = [
-        lambda impl: _fma(impl, *operands).to_dict(),
-        lambda impl: impl.from_dict(a).equal_scaled(c, impl.from_dict(b), 1),
-        lambda impl: impl.from_dict(b).equal_scaled(1, impl.from_dict(a), c),
-    ]
-    for case in cases:
-        try:
-            got = case(get_impl(fast=True))
-        except OverflowError:
-            continue
-        assert got == case(DictPoly)
+@given(_fma_near_the_range_ends())
+def test_compiled_results_are_exact_or_refused(operands):
+    try:
+        got = _fma(get_impl(fast=True), *operands).to_dict()
+    except OverflowError:
+        return
+    assert got == _fma(DictPoly, *operands).to_dict()
 
 
 @pytest.mark.skipif(not HAS_FAST_KERNEL, reason="compiled kernel only")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
@@ -258,6 +259,19 @@ def test_charpoly_count_reads_the_forms(ell, q):
     assert charpoly_count(ell, q) == expected == (q - 1) * _search_slice(shi_d_cone(ell), q)
     for mutant in (_drop_first_shifted_form, _add_form):
         assert (q - 1) * _search_slice(mutant(ell), q) != expected
+
+
+@pytest.mark.parametrize(
+    "coeffs,q,text",
+    [((1, 0, -1), 7, "x1 - z"), ((1, 1, 1, 0), 7, "x1 + x2 + x3"), ((1, 5, 0), 5, "x1 + 5*x2")],
+)
+def test_search_slice_names_a_form_outside_its_shape(coeffs, q, text):
+    # one x-variable, three, or a later coefficient that q divides
+    form = LinearForm(coeffs)
+    assert form.text() == text
+    z = LinearForm((0,) * (len(coeffs) - 1) + (1,))
+    with pytest.raises(ValueError, match=re.escape(text)):
+        _search_slice(Arrangement(len(coeffs) - 1, (z, form)), q)
 
 
 @pytest.mark.parametrize(
