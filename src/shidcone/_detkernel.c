@@ -152,17 +152,40 @@ int64_t sdc_nnz(const sdc_tab *t) {
     return t->nnz;
 }
 
-/* Writes the nonzero terms (sdc_nnz of them) to the three arrays. */
-void sdc_dump(const sdc_tab *t, int64_t *keys, uint64_t *lo, int64_t *hi) {
+typedef struct {
+    int64_t key;
+    acc_t val;
+} term_t;
+
+static int by_key_desc(const void *a, const void *b) {
+    int64_t x = ((const term_t *)a)->key, y = ((const term_t *)b)->key;
+    return (x < y) - (x > y);
+}
+
+/* Writes the nonzero terms (sdc_nnz of them) to the three arrays, largest
+ * key first: a reader that sorts them then meets one run, and a dict built
+ * from them in that order is read in memory order. */
+int sdc_dump(const sdc_tab *t, int64_t *keys, uint64_t *lo, int64_t *hi) {
     int64_t i, j = 0;
+    term_t *s;
+    if (t->nnz == 0) return 0;
+    s = (term_t *)malloc((size_t)t->nnz * sizeof(term_t));
+    if (!s) return -1;
     for (i = 0; i < t->cap; i++) {
         if (t->keys[i] != -1 && t->vals[i] != 0) {
-            keys[j] = t->keys[i];
-            lo[j] = (uint64_t)t->vals[i];
-            hi[j] = (int64_t)(t->vals[i] >> 64);
+            s[j].key = t->keys[i];
+            s[j].val = t->vals[i];
             j++;
         }
     }
+    qsort(s, (size_t)j, sizeof(term_t), by_key_desc);
+    for (i = 0; i < j; i++) {
+        keys[i] = s[i].key;
+        lo[i] = (uint64_t)s[i].val;
+        hi[i] = (int64_t)(s[i].val >> 64);
+    }
+    free(s);
+    return 0;
 }
 
 /* Index of the first slot at or after i holding a nonzero value (t->cap

@@ -145,7 +145,7 @@ _SIGNATURES = {
     "sdc_free": (None, [c_void_p]),
     "sdc_load": (c_int, [c_void_p, c_int64, _P64, POINTER(c_uint64), _P64]),
     "sdc_nnz": (c_int64, [c_void_p]),
-    "sdc_dump": (None, [c_void_p, _P64, POINTER(c_uint64), _P64]),
+    "sdc_dump": (c_int, [c_void_p, _P64, POINTER(c_uint64), _P64]),
     "sdc_fma": (c_int, [c_void_p, c_void_p, c_void_p, c_int]),
     "sdc_lead": (c_int64, [c_void_p, POINTER(c_uint64), _P64]),
 }
@@ -305,9 +305,10 @@ class IntPoly:
         return p
 
     def to_dict(self) -> dict:
+        """The nonzero terms, largest key first."""
         n = _lib.sdc_nnz(self._t)
         keys, lo, hi = (c_int64 * n)(), (c_uint64 * n)(), (c_int64 * n)()
-        _lib.sdc_dump(self._t, keys, lo, hi)
+        _check(_lib.sdc_dump(self._t, keys, lo, hi))
         return {k: (h << 64) + v for k, v, h in zip(keys[:], lo[:], hi[:])}
 
     def nnz(self) -> int:
@@ -379,9 +380,10 @@ def clear_columns(columns: Sequence[Sequence[Poly]], impl) -> tuple[list[list], 
 
 
 def int_dict_to_poly(d: dict[int, int], den: int, nvars: int) -> Poly:
-    """Inverse of poly_to_int_dict (den may be any nonzero integer, and
-    zero values are dropped): reduced once, with no per-term fraction."""
-    return _reduced(nvars, {k: v for k, v in d.items() if v}, den)
+    """Inverse of poly_to_int_dict (den may be any nonzero integer; d holds
+    no zero value, as no backend's ``to_dict`` does): reduced once, with no
+    per-term fraction, and d kept as the terms when already reduced."""
+    return _reduced(nvars, d, den)
 
 
 # -- determinant by minor expansion ------------------------------------------

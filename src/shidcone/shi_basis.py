@@ -45,7 +45,6 @@ from .exactpoly import (
     Poly,
     _pack,
     _reduced,
-    _unpack,
     default_names,
     divide_by_variable,
     elementary_symmetric,
@@ -273,16 +272,35 @@ def poly_terms_text(poly: Poly, depth: int) -> str:
     terms, den, nvars = poly._terms, poly._den, poly.nvars
     if not terms:
         return "[]"
-    # one term as json.dumps lays it out, with a %d for each exponent, the
-    # numerator and the denominator
     i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
-    exps = "[" + ",".join(i3 + "%d" for _ in range(nvars)) + i2 + "]"
-    template = f'{i1}[{i2}{exps},{i2}"%d",{i2}"%d"{i1}]'
+    # A term is the text of its key's high nvars - nvars // 2 exponent
+    # fields, of its low nvars // 2 fields, its numerator and its reduced
+    # denominator.  The terms of one polynomial share few distinct halves
+    # and denominators (4,017, 2,114 and 8 over the 201,865 terms of the
+    # rank-5 determinant), so each of those is written once, per call.
+    nlow = nvars // 2
+    shift = 8 * nlow  # one byte per exponent field (exactpoly._unpack)
+    mask = (1 << shift) - 1
+    highs: dict[int, str] = {}
+    lows: dict[int, str] = {}
+    dens: dict[int, str] = {}
     out = []
     for key in sorted(terms, reverse=True):
         c = terms[key]
         g = gcd(c, den)
-        out.append(template % (*_unpack(key, nvars), c // g, den // g))
+        hi, lo = key >> shift, key & mask
+        high = highs.get(hi)
+        if high is None:
+            exps = hi.to_bytes(nvars - nlow, "big")
+            high = highs[hi] = f"{i1}[{i2}[" + ",".join(i3 + str(e) for e in exps)
+        low = lows.get(lo)
+        if low is None:
+            exps = lo.to_bytes(nlow, "big")
+            low = lows[lo] = "".join("," + i3 + str(e) for e in exps) + f'{i2}],{i2}"'
+        tail = dens.get(g)
+        if tail is None:
+            tail = dens[g] = f'",{i2}"{den // g}"{i1}]'
+        out.append(f"{high}{low}{c // g}{tail}")
     return "[" + ",".join(out) + i0 + "]"
 
 

@@ -58,7 +58,8 @@ Two exact strategies for the determinant identity:
 
 Both strategies hand back det[phi_j(x_i)] in one form, head * prod(factors)
 / den: the reduced determinant and the column forms under ``expand``, the
-constant and the forms of Q/z under ``certify``.  The initial monomial and
+constant and the forms of Q/z, multiplied out in groups that involve the
+same x-variables, under ``certify``.  The initial monomial and
 leading coefficient of det are read from it: the sum of the factors'
 initial monomials and the product of their leading coefficients.  The
 strategies agree on every field of a passing run, and always on saito_ok.
@@ -149,7 +150,8 @@ class VerificationReport:
         (11.8 million terms at l = 6), so it is reconstructed only on
         access, as one product chain: under ``expand`` the reduced
         determinant times the factored-out column forms, under ``certify``
-        the certified constant times the forms.
+        the certified constant times the forms of Q/z, multiplied out in
+        groups that involve the same x-variables.
         """
         if self._det_data is None:
             raise ValueError("determinant data unavailable (verification failed early)")
@@ -481,13 +483,19 @@ def _det_certify(
         return _NO_DET
     if len({f.coeffs for f in arr.forms}) != len(arr.forms):
         return _NO_DET
-    # evaluation point: x_i = 2 * 3^(i+1) (pairwise distinct, even), z = 1
-    # (odd), so no form x_s +- x_t or x_s +- x_t - z or z vanishes.
-    point = [Fraction(2 * 3 ** (i + 1)) for i in range(ell)] + [_F1]
+    # evaluation point: x_i = 2 * t^(i+1), z = 1 for the first t = 3, 4, ...
+    # off every form.  On this curve a nonzero form is a nonzero polynomial
+    # in t of degree at most l, so at most l * |A| values of t are on some
+    # form.  t = 3 is off the Shi cone: the x_i are pairwise distinct and
+    # even and z is odd, so no x_s +- x_t or x_s +- x_t - z vanishes.
     forms = [form.poly() for form in arr.forms[1:]]
-    qz_val = prod(fp.evaluate(point) for fp in forms)
-    if qz_val == 0:
-        raise AssertionError("evaluation point lies on the arrangement")
+    t = 3
+    while True:
+        point = [Fraction(2 * t ** (i + 1)) for i in range(ell)] + [_F1]
+        qz_val = prod(fp.evaluate(point) for fp in forms)
+        if qz_val:
+            break
+        t += 1
     values = [
         [Poly.constant(1, phis[j].coeff_x[i].evaluate(point)) for j in range(ell)]
         for i in range(ell)
@@ -498,10 +506,18 @@ def _det_certify(
     constant = det_val.leading_coefficient() / qz_val
     if constant != Fraction(1, double_factorial(2 * ell - 3)):
         return False, True, None, None
-    # det = constant * prod(forms); key 0 is the constant monomial, and
-    # nothing here limits nvars, since det_phi is only built on access
+    # det = constant * prod(forms), the forms multiplied out in groups that
+    # involve the same x-variables (for the Shi cone the four forms of each
+    # pair s < t), in order of first appearance: the chain of det_phi then
+    # pairs 890,533 terms at rank 5, against 3,234,191 one form at a time.
+    # Key 0 is the constant monomial, and nothing here limits nvars, since
+    # det_phi is only built on access.
+    groups: dict[tuple[int, ...], Poly] = {}
+    for form, fp in zip(arr.forms[1:], forms):
+        xs = tuple(i for i, c in enumerate(form.coeffs[:ell]) if c)
+        groups[xs] = groups[xs] * fp if xs in groups else fp
     head = get_impl().from_dict({0: constant.numerator})
-    return True, True, constant, (head, constant.denominator, forms, ell + 1)
+    return True, True, constant, (head, constant.denominator, list(groups.values()), ell + 1)
 
 
 def _det_initial_and_lc(det_data: tuple | None) -> tuple:

@@ -79,14 +79,16 @@ def test_backends_agree_on_fma(seed):
 
 
 def test_backend_fma_cancels_to_zero():
-    # tables are compared as expand compares them: 3a - 2b by two fmas
+    # tables are compared as expand compares them: 3a - 2b by two fmas; a
+    # cancelled term leaves to_dict too, which int_dict_to_poly relies on
     for impl in {DictPoly, get_impl()}:
-        for b, cancels in [({1: 3, 256: -6}, True), ({1: 3, 256: -5}, False), ({1: 3}, False)]:
+        for b, left in [({1: 3, 256: -6}, {}), ({1: 3, 256: -5}, {256: -2}), ({1: 3}, {256: -12})]:
             diff = impl.from_dict({})
             diff.fma(impl.from_dict({1: 2, 256: -4}), impl.from_dict({0: 3}), 1)
             diff.fma(impl.from_dict(b), impl.from_dict({0: 2}), -1)
-            assert diff.is_zero() == cancels
-            assert (diff.nnz() == 0) == cancels
+            assert diff.is_zero() == (not left)
+            assert diff.nnz() == len(left)
+            assert diff.to_dict() == left
 
 
 def test_kernel_entry_points_are_the_signatures():
@@ -300,6 +302,22 @@ def test_compiled_fma_matches_dict_fma_while_growing(operands):
     start = {k: v for k, v in acc.items() if v}
     assert results[1].to_dict() == start
     assert results[1].nnz() == len(start)
+
+
+@_COMPILED
+def test_compiled_to_dict_lists_keys_largest_first():
+    # 6,000 products grow the table from 16 slots to 16,384, ten rehashes
+    a = {_pack((e, 0, 0)): e + 1 for e in range(100)}
+    b = {_pack((0, e, f)): 1 - 2 * (e % 2) for e in range(20) for f in range(3)}
+    tables = []
+    for impl in (DictPoly, get_impl(fast=True)):
+        acc = impl.from_dict({})
+        acc.fma(impl.from_dict(a), impl.from_dict(b), 1)
+        tables.append(acc.to_dict())
+    keys = list(tables[1])
+    assert len(keys) == 6000
+    assert keys == sorted(keys, reverse=True)
+    assert tables[1] == tables[0]
 
 
 @_COMPILED
@@ -542,6 +560,7 @@ from shidcone.verify import saito_verify
 
 test_detkernel.check_range_ends(detkernel.IntPoly)
 assert saito_verify(3, method="expand").saito_ok
+assert saito_verify(3, method="certify").det_phi
 """
 
 

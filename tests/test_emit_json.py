@@ -94,6 +94,20 @@ def test_polys_are_written_as_their_term_lists(obj):
     assert emit_json(obj) == reference(decoded(obj))
 
 
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("nvars", range(1, 8))
+def test_dense_polys_match_json_dumps(nvars, depth):
+    # (x1 + ... + x_{n-1} + 2z - 3)^5 / 7: its terms share the text of
+    # each half of their keys and of each reduced denominator
+    xs = [Poly.variable(nvars, i) for i in range(nvars)]
+    base = sum(xs[:-1], Poly.zero(nvars)) + 2 * xs[-1] - 3
+    for poly in (base**5 * Fraction(1, 7), Poly.zero(nvars)):
+        value = poly
+        for _ in range(depth):
+            value = [value]
+        assert emit_json(value) == reference(decoded(value))
+
+
 def test_zero_poly_is_an_empty_list():
     payload = {"det": Poly.zero(3), "rows": [Poly.zero(1)]}
     assert emit_json(payload) == reference({"det": [], "rows": [[]]})

@@ -334,14 +334,35 @@ def test_certify_det_initial_none_on_wrong_constant(cached_basis):
 
 def test_certify_checks_its_arrangement_premises(cached_basis):
     # the certificate needs pairwise distinct forms and a point off every
-    # form; x_i = 2 * 3^(i+1) puts (6, 18, 54, 1) on 3*x1 - x2
+    # form; x_i = 2 * t^(i+1) at t = 3 puts (6, 18, 54, 1) on 3*x1 - x2, so
+    # the point moves on to t = 4, where the extra form breaks the constant
     forms = shi_d_cone(3).forms
     assert forms[1].text() == "x1 + x2"
     repeated = Arrangement(3, forms + (forms[1],))
     assert _det_certify(3, cached_basis(3), repeated, True, True) == _NO_DET
     through_point = Arrangement(3, forms + (LinearForm((3, -1, 0, 0)),))
-    with pytest.raises(AssertionError, match="evaluation point lies on the arrangement"):
-        _det_certify(3, cached_basis(3), through_point, True, True)
+    assert _det_certify(3, cached_basis(3), through_point, True, True) == (
+        False, True, None, None
+    )
+
+
+def test_certify_chain_multiplies_grouped_forms(monkeypatch):
+    # det_phi multiplies out the four forms of each pair s < t first: at
+    # rank 4 its chain is 6 fma calls over at most 14,322 term pairs, where
+    # one form at a time took 24 calls and 55,108 pairs
+    monkeypatch.setattr(detkernel, "HAS_FAST_KERNEL", False)
+    report = saito_verify(4, method="certify")
+    pairs = []
+    fma = detkernel.DictPoly.fma
+
+    def counted(self, a, b, sign):
+        pairs.append(a.nnz() * b.nnz())
+        fma(self, a, b, sign)
+
+    monkeypatch.setattr(detkernel.DictPoly, "fma", counted)
+    assert not report.det_phi.is_zero()
+    assert len(pairs) == 6
+    assert sum(pairs) <= 14_322
 
 
 def _z_row_mutants(derivs):
@@ -510,19 +531,24 @@ def test_det_phi_property(cached_basis):
 
 def test_det_phi_folds_factor_denominators():
     report = saito_verify(2, method="certify")
-    head, den, forms, nvars = report._det_data
-    halved = [f * Fraction(1, 2) for f in forms]
+    head, den, factors, nvars = report._det_data
+    halved = [f * Fraction(1, 2) for f in factors]
     scaled = dataclasses.replace(report, _det_data=(head, den, halved, nvars))
-    assert scaled.det_phi == report.det_phi * Fraction(1, 2 ** len(forms))
+    assert scaled.det_phi == report.det_phi * Fraction(1, 2 ** len(factors))
 
 
-def test_det_equals_scaled_defining_poly(cached_basis):
-    for ell in (2, 3):
-        report = saito_verify(ell)
-        arr = shi_d_cone(ell)
-        q = math.prod((f.poly() for f in arr.forms), start=Poly.one(arr.nvars))
-        z = Poly.variable(ell + 1, ell)
-        assert report.det_phi * z == q * report.det_constant
+def test_det_equals_scaled_defining_poly(cached_basis, monkeypatch):
+    # both routes' det_phi, on the default kernel and then on DictPoly
+    for kernel in ("default", "pure Python"):
+        if kernel == "pure Python":
+            monkeypatch.setattr(detkernel, "HAS_FAST_KERNEL", False)
+        for ell in (2, 3, 4):
+            arr = shi_d_cone(ell)
+            q = math.prod((f.poly() for f in arr.forms), start=Poly.one(arr.nvars))
+            z = Poly.variable(ell + 1, ell)
+            for method in ("expand", "certify"):
+                report = saito_verify(ell, method=method, derivs=cached_basis(ell))
+                assert report.det_phi * z == q * report.det_constant, (kernel, ell, method)
 
 
 def test_saito_verify_validates_input():
