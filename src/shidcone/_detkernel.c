@@ -188,6 +188,22 @@ int sdc_dump(const sdc_tab *t, int64_t *keys, uint64_t *lo, int64_t *hi) {
     return 0;
 }
 
+/* Writes to peaks[f] the largest exponent in byte field f (f = 0 the
+ * lowest) over the keys with a nonzero value: one pass over the table, so
+ * an exponent check needs no dump of the terms. */
+void sdc_peaks(const sdc_tab *t, uint8_t *peaks) {
+    int64_t i;
+    memset(peaks, 0, 8);
+    for (i = 0; i < t->cap; i++) {
+        if (t->keys[i] != -1 && t->vals[i] != 0) {
+            uint64_t k = (uint64_t)t->keys[i];
+            int f;
+            for (f = 0; k; f++, k >>= 8)
+                if ((k & 0xFF) > peaks[f]) peaks[f] = (uint8_t)(k & 0xFF);
+        }
+    }
+}
+
 /* Index of the first slot at or after i holding a nonzero value (t->cap
  * when there is none). */
 static int64_t next_live(const sdc_tab *t, int64_t i) {

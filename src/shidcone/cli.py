@@ -6,25 +6,32 @@ verification fails, 2 on usage errors (invalid arguments, among them a rank
 or degree whose exponents would pass 255, or an ``--out`` file that cannot
 be written; both are found before the command does any work), 3 on
 an internal error (any other exception, reported on stderr as
-``internal error: <type>: <message>``).
+``internal error: <type>: <message>``).  JSON goes out as it is laid out,
+so after status 3 an ``--out`` file (or stdout) may hold a truncated
+payload.
 
 JSON output is canonical: stable field order, big integers rendered as
 decimal strings, monomials as exponent arrays; byte-identical across runs
 for identical inputs (timings are only included on request, since they
-vary run to run).  One writer, ``emit_json``, lays every payload out as
-``json.dumps(indent=2, ensure_ascii=False)`` would.  Handlers pass each
-polynomial as its ``Poly``, and ``shi_basis.poly_terms_text`` writes its
-terms straight from the stored integers, so no nested term list is ever
-built: each term joins the cached text of the high and the low half of
-its key's exponent fields and of its reduced denominator with its
-numerator.  With the determinant's forms multiplied in groups, that took
-``verify --ell 5 --method certify --format json --include-det`` from
-0.93 s to 0.51 s (the ``emit-det-r5`` workload, medians of 10 alternating
-pairs on a shared 2-vCPU VM, ``BENCH_pr28.json``).  The writer does
-not call ``json.dumps(indent=2)`` on the whole payload because CPython's
-C encoder only runs with ``indent=None``: with any indent the pure-Python
-encoder takes over, and it took about twice as long as building the
-201,865-term list of the rank-5 determinant.
+vary run to run).  One writer, ``_write_json``, lays every payload out as
+``json.dumps(indent=2, ensure_ascii=False)`` would and hands the text in
+pieces to a ``write`` callable: the handlers pass that of the ``--out``
+file or of stdout (``_write_payload``), and ``emit_json`` joins the
+pieces into a string.  Handlers pass each polynomial as its ``Poly``, and
+``_write_terms`` writes its terms straight from the stored integers, one
+batch per run of keys that share their high half, so neither a nested
+term list nor the text of a whole polynomial is ever built: each term
+joins the text of the high and the low half of its key's exponent fields
+and of its reduced denominator with its numerator.  With the kernel's
+table freed before the determinant's dict is built, that took the peak
+RSS of ``verify --ell 5 --method certify --format json --include-det``
+(24.35 MB of text) from 130.2 MB to 58.2 MB, lower in 10 of 10 pairs,
+and its time from 0.53 s to 0.44 s (the ``emit-det-r5`` workload, medians
+of 10 alternating pairs on a shared 2-vCPU VM, ``BENCH_pr30.json``).  The
+writer does not call ``json.dumps(indent=2)`` on the whole payload
+because CPython's C encoder only runs with ``indent=None``: with any
+indent the pure-Python encoder takes over, and it took about twice as
+long as building the 201,865-term list of the rank-5 determinant.
 
 To add a subcommand, add one ``add_parser`` and pass it to ``add_common``
 with its ``_run_x``, which ``set_defaults(handler=_run_x)`` attaches.  The
@@ -38,13 +45,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
+from math import gcd
 from typing import Sequence
 
 from .bernoulli import make_bernoulli
 from .exactpoly import Poly, default_names
 from .oracle import PREFIX_CAP, charpoly_count, expected_count, graded_dims
-from .shi_basis import basis, poly_terms_text
+from .shi_basis import basis
 from .verify import (
     bareiss_det,
     coefficient_matrix,
@@ -61,51 +70,116 @@ INTERNAL_ERROR = 3
 def emit_json(obj) -> str:
     """Canonical JSON serialization (stable order, trailing newline): the
     text of ``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``, where
-    each ``Poly`` in obj stands for the term list that ``poly_terms_text``
-    writes."""
+    each ``Poly`` in obj stands for its term list (``_write_terms``).  The
+    handlers stream the same text to their output (``_write_payload``)."""
     out: list[str] = []
-    _write_json(out, obj, 0)
+    _write_json(out.append, obj, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(out: list[str], value, depth: int) -> None:
-    """Append value, nested ``depth`` levels deep, as json.dumps(indent=2)
-    lays it out."""
+def _write_json(write, value, depth: int) -> None:
+    """Pass value, nested ``depth`` levels deep, to ``write`` in pieces, as
+    json.dumps(indent=2) lays it out."""
     if isinstance(value, Poly):
-        out.append(poly_terms_text(value, depth))
+        _write_terms(write, value, depth)
     elif isinstance(value, dict) and value:
         inner = "\n" + "  " * (depth + 1)
         for n, (key, item) in enumerate(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out.append(("," if n else "{") + inner + json.dumps(key, ensure_ascii=False) + ": ")
-            _write_json(out, item, depth + 1)
-        out.append("\n" + "  " * depth + "}")
+            write(("," if n else "{") + inner + json.dumps(key, ensure_ascii=False) + ": ")
+            _write_json(write, item, depth + 1)
+        write("\n" + "  " * depth + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner = "\n" + "  " * (depth + 1)
         for n, item in enumerate(value):
-            out.append(("," if n else "[") + inner)
-            _write_json(out, item, depth + 1)
-        out.append("\n" + "  " * depth + "]")
+            write(("," if n else "[") + inner)
+            _write_json(write, item, depth + 1)
+        write("\n" + "  " * depth + "]")
     else:
         # scalars, {} and []
-        out.append(json.dumps(value, ensure_ascii=False))
+        write(json.dumps(value, ensure_ascii=False))
+
+
+def _write_terms(write, poly: Poly, depth: int) -> None:
+    """Pass poly's terms to ``write`` as json.dumps(indent=2) lays out a
+    list at nesting depth ``depth``: [exponent array, "num", "den"] in
+    descending pure-lex order, integers as decimal strings, each
+    coefficient reduced by the gcd of its numerator and the denominator.
+    Written from the stored integers, one batch per run of keys that share
+    their high half, so no term list and no text of the whole polynomial
+    is built."""
+    terms, den, nvars = poly._terms, poly._den, poly.nvars
+    if not terms:
+        write("[]")
+        return
+    i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
+    # A term is the text of its key's high nvars - nvars // 2 exponent
+    # fields, of its low nvars // 2 fields, its numerator and its reduced
+    # denominator.  The terms of one polynomial share few distinct halves
+    # and denominators (4,017, 2,114 and 8 over the 201,865 terms of the
+    # rank-5 determinant).  In descending key order the keys with one high
+    # half form one run, so its text is made when the run starts and the
+    # run's terms go to ``write`` when it ends (50 terms on average at rank
+    # 5); the low halves and the denominators are cached per call.
+    nlow = nvars // 2
+    shift = 8 * nlow  # one byte per exponent field (exactpoly._unpack)
+    mask = (1 << shift) - 1
+    lows: dict[int, str] = {}
+    dens: dict[int, str] = {}
+    run, sep, batch = None, "[", []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        g = gcd(c, den)
+        hi, lo = key >> shift, key & mask
+        if hi != run:
+            if batch:
+                write(sep + ",".join(batch))
+                sep, batch = ",", []
+            run = hi
+            exps = hi.to_bytes(nvars - nlow, "big")
+            high = f"{i1}[{i2}[" + ",".join(i3 + str(e) for e in exps)
+        low = lows.get(lo)
+        if low is None:
+            exps = lo.to_bytes(nlow, "big")
+            low = lows[lo] = "".join("," + i3 + str(e) for e in exps) + f'{i2}],{i2}"'
+        tail = dens.get(g)
+        if tail is None:
+            tail = dens[g] = f'",{i2}"{den // g}"{i1}]'
+        batch.append(f"{high}{low}{c // g}{tail}")
+    write(sep + ",".join(batch) + i0 + "]")
 
 
 class OutputPathError(Exception):
     """The --out file could not be written: a usage error, not a crash."""
 
 
-def _write(args: argparse.Namespace, text: str, mode: str = "w") -> None:
-    if args.out:
-        try:
-            with open(args.out, mode, encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OutputPathError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _output(args: argparse.Namespace, mode: str = "w"):
+    """The ``write`` of the --out file, opened with ``mode``, or of stdout
+    without one.  An OSError while the file is open is an OutputPathError."""
+    if not args.out:
+        yield sys.stdout.write
+        return
+    try:
+        with open(args.out, mode, encoding="utf-8") as fh:
+            yield fh.write
+    except OSError as exc:
+        raise OutputPathError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+
+
+def _write(args: argparse.Namespace, text: str) -> None:
+    with _output(args) as write:
+        write(text)
+
+
+def _write_payload(args: argparse.Namespace, payload) -> None:
+    """Write emit_json(payload) to the output as it is laid out, so that
+    neither the text nor the term list of a polynomial is held whole."""
+    with _output(args) as write:
+        _write_json(write, payload, 0)
+        write("\n")
 
 
 # -- command implementations ---------------------------------------------------
@@ -123,7 +197,7 @@ def _run_basis(args: argparse.Namespace) -> int:
             }
             for d in derivs
         ]
-        _write(args, emit_json(payload))
+        _write_payload(args, payload)
         return 0
     lines = []
     for d in derivs:
@@ -140,7 +214,7 @@ def _run_bernoulli(args: argparse.Namespace) -> int:
     if br.is_negative_one_zero:
         if args.format == "json":
             payload = {"p": br.p, "q": br.q, "is_negative_one_zero": True}
-            _write(args, emit_json(payload))
+            _write_payload(args, payload)
         else:
             _write(args, f"B_{label}(x) = -1/x (rational function, flagged)\n")
         return 0
@@ -153,7 +227,7 @@ def _run_bernoulli(args: argparse.Namespace) -> int:
             "univariate": univariate,
             "homogenized": br.homogenized,
         }
-        _write(args, emit_json(payload))
+        _write_payload(args, payload)
         return 0
     homog = br.homogenized.render(names=["x", "z"])
     _write(args, f"B_{label}(x) = {univariate}\nBbar_{label}(x,z) = {homog}\n")
@@ -166,7 +240,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         payload = report.summary_dict(include_timing=args.timings)
         if args.include_det:
             payload["det_phi"] = report.det_phi
-        _write(args, emit_json(payload))
+        _write_payload(args, payload)
     else:
         lines = [
             f"ell = {report.ell} (method: {report.method})",
@@ -193,7 +267,7 @@ def _run_det(args: argparse.Namespace) -> int:
     else:
         det = minor_expansion_det(matrix)
     if args.format == "json":
-        _write(args, emit_json({"ell": args.ell, "det": det}))
+        _write_payload(args, {"ell": args.ell, "det": det})
     else:
         _write(args, det.render() + "\n")
     return 0
@@ -202,7 +276,7 @@ def _run_det(args: argparse.Namespace) -> int:
 def _run_lemmas(args: argparse.Namespace) -> int:
     report = lemma_identity_checks(args.ell)
     if args.format == "json":
-        _write(args, emit_json(report.summary_dict()))
+        _write_payload(args, report.summary_dict())
     else:
         d = report.summary_dict()
         lines = [f"ell = {report.ell}"]
@@ -223,7 +297,7 @@ def _run_oracle_dims(args: argparse.Namespace) -> int:
     reports = graded_dims(args.ell, args.max_degree)
     ok = all(r.ok for r in reports)
     if args.format == "json":
-        _write(args, emit_json([{**asdict(r), "ok": r.ok} for r in reports]))
+        _write_payload(args, [{**asdict(r), "ok": r.ok} for r in reports])
     else:
         lines = [
             f"d={r.degree}: computed={r.computed_dim} expected={r.expected_dim}"
@@ -246,7 +320,7 @@ def _run_oracle_charpoly(args: argparse.Namespace) -> int:
             "expected": expected,
             "ok": ok,
         }
-        _write(args, emit_json(payload))
+        _write_payload(args, payload)
     else:
         _write(
             args,
@@ -316,7 +390,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             # appending nothing fails on a path that cannot be written, as
             # a shell redirection does, before any work; it creates a
             # missing file and leaves an existing one as it is
-            _write(args, "", mode="a")
+            with _output(args, "a"):
+                pass
         return args.handler(args)
     except (ValueError, IndexError, OutputPathError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,9 +18,10 @@ Keys pass between ``Poly`` and the kernel unchanged:
 The last two raise ExponentOverflowError where a packed exponent could
 carry into the next field (``exactpoly.check_field_room``).  Two
 interchangeable implementations provide the kernel polynomial
-(``IntPolyLike``: ``from_dict``, ``to_dict``, ``nnz``, ``is_zero``, ``fma``,
-``lead``; ``fma`` is the one arithmetic operation, and two polynomials are
-compared by subtracting one from the other with it and asking ``is_zero``):
+(``IntPolyLike``: ``from_dict``, ``to_dict``, ``take_dict``, ``field_peaks``,
+``nnz``, ``is_zero``, ``fma``, ``lead``; ``fma`` is the one arithmetic
+operation, and two polynomials are compared by subtracting one from the
+other with it and asking ``is_zero``):
 
   * ``DictPoly`` — pure Python, dict[int, int]; any number of variables.
                    Its ``fma`` is ``exactpoly.fma_terms``, the package's
@@ -73,17 +74,19 @@ from __future__ import annotations
 import ctypes
 import os
 import warnings
-from ctypes import POINTER, c_int, c_int64, c_uint64, c_void_p
+from ctypes import POINTER, c_int, c_int64, c_uint8, c_uint64, c_void_p
 from itertools import combinations
 from typing import Protocol, Sequence
 
-from .exactpoly import Poly, _reduced, check_field_room, clear_denominators, fma_terms
+from .exactpoly import Poly, _field_peaks, _reduced, check_field_room, clear_denominators, fma_terms
 
 
 class IntPolyLike(Protocol):
     @staticmethod
     def from_dict(d: dict) -> "IntPolyLike": ...
     def to_dict(self) -> dict: ...
+    def take_dict(self) -> dict: ...
+    def field_peaks(self) -> dict[int, int]: ...
     def nnz(self) -> int: ...
     def is_zero(self) -> bool: ...
     def fma(self, a, b, sign: int) -> None: ...
@@ -108,6 +111,13 @@ class DictPoly:
 
     def to_dict(self) -> dict:
         return dict(self.d)
+
+    def take_dict(self) -> dict:
+        d, self.d = self.d, {}
+        return d
+
+    def field_peaks(self) -> dict[int, int]:
+        return _field_peaks(self.d)
 
     def nnz(self) -> int:
         return len(self.d)
@@ -148,6 +158,7 @@ _SIGNATURES = {
     "sdc_dump": (c_int, [c_void_p, _P64, POINTER(c_uint64), _P64]),
     "sdc_fma": (c_int, [c_void_p, c_void_p, c_void_p, c_int]),
     "sdc_lead": (c_int64, [c_void_p, POINTER(c_uint64), _P64]),
+    "sdc_peaks": (None, [c_void_p, POINTER(c_uint8)]),
 }
 
 
@@ -304,12 +315,36 @@ class IntPoly:
             _check(_lib.sdc_load(p._t, n, keys, lo, hi))
         return p
 
+    def _dump(self) -> zip:
+        """(key, low word, high word of the value) of each nonzero term,
+        largest key first, read through memoryviews of arrays the table is
+        dumped to (slices would copy each array to a list)."""
+        n = _lib.sdc_nnz(self._t)
+        arrays = (c_int64 * n)(), (c_uint64 * n)(), (c_int64 * n)()
+        _check(_lib.sdc_dump(self._t, *arrays))
+        return zip(*(memoryview(a).cast("B").cast(f) for a, f in zip(arrays, "qQq")))
+
     def to_dict(self) -> dict:
         """The nonzero terms, largest key first."""
-        n = _lib.sdc_nnz(self._t)
-        keys, lo, hi = (c_int64 * n)(), (c_uint64 * n)(), (c_int64 * n)()
-        _check(_lib.sdc_dump(self._t, keys, lo, hi))
-        return {k: (h << 64) + v for k, v, h in zip(keys[:], lo[:], hi[:])}
+        return {k: (h << 64) + v for k, v, h in self._dump()}
+
+    def take_dict(self) -> dict:
+        """``to_dict``, leaving self zero: the table is freed before the
+        dict is built, so the two are never held together."""
+        terms = self._dump()
+        empty = _lib.sdc_new(0)
+        if not empty:
+            raise MemoryError("IntPoly allocation failed")
+        _lib.sdc_free(self._t)
+        self._t = empty
+        return {k: (h << 64) + v for k, v, h in terms}
+
+    def field_peaks(self) -> dict[int, int]:
+        """``exactpoly._field_peaks`` of the keys, read in one pass of the
+        table."""
+        peaks = (c_uint8 * 8)()
+        _lib.sdc_peaks(self._t, peaks)
+        return {8 * f: e for f, e in enumerate(peaks) if e}
 
     def nnz(self) -> int:
         return _lib.sdc_nnz(self._t)
@@ -407,7 +442,7 @@ def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> tuple:
         if len(row) != n:
             raise ValueError("matrix must be square")
     # every product of one entry per row must keep each exponent in its field
-    check_field_room([k for entry in row for k in entry.to_dict()] for row in rows)
+    check_field_room(_field_peaks(k for entry in row for k in entry.to_dict()) for row in rows)
     minors = {(): impl.from_dict({0: 1})}
     for r in range(n):
         if r == n - 1:
@@ -439,8 +474,8 @@ def int_product(factors: Sequence[dict[int, int] | IntPolyLike], impl) -> IntPol
     Raises ExponentOverflowError unless every exponent of the product fits
     its packed field.
     """
+    check_field_room(_field_peaks(f) if isinstance(f, dict) else f.field_peaks() for f in factors)
     polys = [impl.from_dict(f) if isinstance(f, dict) else f for f in factors]
-    check_field_room(p.to_dict() for p in polys)
     acc, *rest = polys or [impl.from_dict({0: 1})]
     for p in rest:
         nxt = impl.from_dict({})

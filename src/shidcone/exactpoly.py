@@ -103,9 +103,10 @@ def _field_peaks(keys: Iterable[int]) -> dict[int, int]:
     return peaks
 
 
-def check_field_room(key_groups: Iterable[Iterable[int]]) -> None:
+def check_field_room(peak_groups: Iterable[Mapping[int, int]]) -> None:
     """Raise ExponentOverflowError unless every sum of one packed key from
-    each group keeps each exponent within FIELD_MASK.
+    each group keeps each exponent within FIELD_MASK; each group is given
+    by its ``_field_peaks``.
 
     A variable's exponent in such a sum is at most the sum over groups of
     its largest exponent in the group, and that bound is reached, so the
@@ -113,8 +114,8 @@ def check_field_room(key_groups: Iterable[Iterable[int]]) -> None:
     next variable without any error.
     """
     totals: dict[int, int] = {}
-    for keys in key_groups:
-        for shift, e in _field_peaks(keys).items():
+    for peaks in peak_groups:
+        for shift, e in peaks.items():
             totals[shift] = totals.get(shift, 0) + e
     for total in totals.values():
         if total > FIELD_MASK:
@@ -284,7 +285,7 @@ class Poly:
         # needs the per-variable check.
         degree = self.total_degree() + other.total_degree()
         if degree > FIELD_MASK:
-            check_field_room((self._terms, other._terms))
+            check_field_room(map(_field_peaks, (self._terms, other._terms)))
         out: dict[int, int] = {}
         fma_terms(out, self._terms, other._terms)
         result = _reduced(self.nvars, out, self._den * other._den)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator, Sequence
 
 from .bernoulli import make_bernoulli
@@ -263,50 +263,9 @@ def apply(theta: Derivation, f: Poly) -> Poly:
 # -- wire format -------------------------------------------------------------
 
 
-def poly_terms_text(poly: Poly, depth: int) -> str:
-    """The JSON text of poly's terms, as json.dumps(indent=2) lays out a
-    value at nesting depth ``depth``: a list of [exponent array, "num",
-    "den"] in descending pure-lex order, integers as decimal strings, each
-    coefficient reduced by the gcd of its numerator and the denominator.
-    Written from the stored integers with no term list built."""
-    terms, den, nvars = poly._terms, poly._den, poly.nvars
-    if not terms:
-        return "[]"
-    i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
-    # A term is the text of its key's high nvars - nvars // 2 exponent
-    # fields, of its low nvars // 2 fields, its numerator and its reduced
-    # denominator.  The terms of one polynomial share few distinct halves
-    # and denominators (4,017, 2,114 and 8 over the 201,865 terms of the
-    # rank-5 determinant), so each of those is written once, per call.
-    nlow = nvars // 2
-    shift = 8 * nlow  # one byte per exponent field (exactpoly._unpack)
-    mask = (1 << shift) - 1
-    highs: dict[int, str] = {}
-    lows: dict[int, str] = {}
-    dens: dict[int, str] = {}
-    out = []
-    for key in sorted(terms, reverse=True):
-        c = terms[key]
-        g = gcd(c, den)
-        hi, lo = key >> shift, key & mask
-        high = highs.get(hi)
-        if high is None:
-            exps = hi.to_bytes(nvars - nlow, "big")
-            high = highs[hi] = f"{i1}[{i2}[" + ",".join(i3 + str(e) for e in exps)
-        low = lows.get(lo)
-        if low is None:
-            exps = lo.to_bytes(nlow, "big")
-            low = lows[lo] = "".join("," + i3 + str(e) for e in exps) + f'{i2}],{i2}"'
-        tail = dens.get(g)
-        if tail is None:
-            tail = dens[g] = f'",{i2}"{den // g}"{i1}]'
-        out.append(f"{high}{low}{c // g}{tail}")
-    return "[" + ",".join(out) + i0 + "]"
-
-
 def derivation_from_dict(data: dict) -> Derivation:
     """The derivation of one entry of ``basis --format json``: {"ell",
-    "name", "coeffs": {variable name: poly_terms_text's term list}}.  The
+    "name", "coeffs": {variable name: term list as ``cli`` writes it}}.  The
     package's one reader of that output."""
     ell = int(data["ell"])
     nvars = ell + 1

@@ -151,7 +151,8 @@ class VerificationReport:
         access, as one product chain: under ``expand`` the reduced
         determinant times the factored-out column forms, under ``certify``
         the certified constant times the forms of Q/z, multiplied out in
-        groups that involve the same x-variables.
+        groups that involve the same x-variables.  The product's table is
+        freed before the ``Poly``'s dict is built (``take_dict``).
         """
         if self._det_data is None:
             raise ValueError("determinant data unavailable (verification failed early)")
@@ -162,7 +163,9 @@ class VerificationReport:
             chain.append(terms)
             den *= fden
         det = int_product(chain, type(head))
-        return int_dict_to_poly(det.to_dict(), den, nvars)
+        # a chain of head alone is head itself, which later accesses reuse
+        terms = det.to_dict() if det is head else det.take_dict()
+        return int_dict_to_poly(terms, den, nvars)
 
     def summary_dict(self, include_timing: bool = False) -> dict:
         """JSON-ready summary with stable field order."""
@@ -257,7 +260,7 @@ def minor_expansion_det(matrix: Sequence[Sequence[Poly]], fast: bool | None = No
     impl = get_impl(fast)
     rows, den = clear_columns(list(zip(*matrix)), impl)
     det, _ = det_minor_expansion(rows, impl)
-    return int_dict_to_poly(det.to_dict(), den, matrix[0][0].nvars)
+    return int_dict_to_poly(det.take_dict(), den, matrix[0][0].nvars)
 
 
 # -- membership --------------------------------------------------------------

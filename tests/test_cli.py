@@ -1,8 +1,11 @@
+import argparse
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
+from shidcone import cli
 from shidcone.cli import main
 from shidcone.shi_basis import derivation_from_dict
 from shidcone.verify import saito_verify
@@ -301,13 +304,57 @@ def test_json_timings_are_floats_beside_the_untimed_payload(capsys):
 def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
     path = tmp_path / "out"
     passing = sorted(a for a, (status, _, _) in _INVOCATION_PINS.items() if status == 0)
-    extra = ["basis --ell 3 --format json", "det --ell 3 --algorithm bareiss --format json"]
+    # the rank-4 determinant's 4,313 terms go out in 1,492 batches
+    extra = [
+        "basis --ell 3 --format json",
+        "det --ell 3 --algorithm bareiss --format json",
+        "det --ell 4 --format json",
+        "verify --ell 4 --method certify --format json --include-det",
+    ]
     for argv in extra + passing:
         path.write_text("old content that must go\n")
         _, expected, _ = invoke(capsys, *argv.split())
         status, out, _ = invoke(capsys, *argv.split(), "--out", str(path))
         assert status == 0 and out == "", argv
         assert path.read_bytes() == expected.encode("utf-8"), argv
+
+
+def test_json_is_streamed_to_the_output(tmp_path):
+    # with the determinant built, writing its payload holds no copy of the
+    # text: the traced peak stays below a quarter of the file
+    report = saito_verify(4, method="certify")
+    payload = report.summary_dict()
+    payload["det_phi"] = report.det_phi
+    assert len(payload["det_phi"]) == 4313
+    path = tmp_path / "det.json"
+    tracemalloc.start()
+    try:
+        cli._write_payload(argparse.Namespace(out=str(path)), payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_text() == cli.emit_json(payload)
+    assert peak < size / 4, (peak, size)
+
+
+def test_crash_while_streaming_exits_3_and_leaves_a_truncated_file(tmp_path, capsys, monkeypatch):
+    _, expected, _ = invoke(capsys, "det", "--ell", "3", "--format", "json")
+    real = cli._write_terms
+
+    def fail_after_the_first_batch(write, poly, depth):
+        def write_once(text):
+            write(text)
+            raise RuntimeError("disk gone")
+
+        real(write_once, poly, depth)
+
+    monkeypatch.setattr(cli, "_write_terms", fail_after_the_first_batch)
+    path = tmp_path / "det.json"
+    status, out, err = invoke(capsys, "det", "--ell", "3", "--format", "json", "--out", str(path))
+    assert (status, out, err) == (3, "", "internal error: RuntimeError: disk gone\n")
+    written = path.read_text()
+    assert '"det": [' in written and expected.startswith(written) and written != expected
 
 
 def test_missing_subcommand_exits_2():

@@ -91,6 +91,40 @@ def test_backend_fma_cancels_to_zero():
             assert diff.to_dict() == left
 
 
+# values at the ends of the kernel's range and next to its 64-bit word
+# boundary, on keys of three variables, given smallest key first
+_DUMPED = {
+    _pack((0, 0, 0)): 2**64,
+    _pack((0, 255, 1)): -(2**64),
+    _pack((3, 0, 9)): -(2**127),
+    _pack((7, 7, 7)): -1,
+    _pack((255, 0, 0)): 2**127 - 1,
+}
+
+
+def check_dumps(impl):
+    """``to_dict`` and ``take_dict`` of ``impl`` at the range ends (a
+    function, so that a sanitizer build can run it).  ``take_dict`` leaves
+    a zero polynomial that stays usable."""
+    p = impl.from_dict(_DUMPED)
+    assert p.field_peaks() == DictPoly(dict(_DUMPED)).field_peaks() == {16: 255, 8: 255, 0: 9}
+    got = p.to_dict()
+    assert got == _DUMPED
+    assert p.take_dict() == got
+    assert p.is_zero() and p.nnz() == 0 and p.lead() is None
+    assert p.to_dict() == p.take_dict() == {} and p.field_peaks() == {}
+    p.fma(impl.from_dict({1: 2}), impl.from_dict({2: -3}), 1)
+    assert p.to_dict() == {3: -6}
+    return got
+
+
+def test_backend_dumps_at_the_range_ends():
+    for impl in {DictPoly, get_impl()}:
+        got = check_dumps(impl)
+        if impl is not DictPoly:
+            assert list(got) == sorted(_DUMPED, reverse=True)
+
+
 def test_kernel_entry_points_are_the_signatures():
     # every C entry point has a ctypes signature, so none outlives its last
     # caller in detkernel
@@ -205,6 +239,15 @@ def test_int_product_exponent_carry_raises(fast):
     # per variable, as in a minor: x1^200 * z^100 fits
     product = int_product([{_pack((200, 0)): 1}, {_pack((0, 100)): 1}], impl)
     assert product.to_dict() == {_pack((200, 100)): 1}
+    # kernel factors are checked from their field peaks: z^255 fits, z^256
+    # does not
+    head = impl.from_dict({_pack((1, 200)): 3, _pack((0, 1)): 1})
+    with pytest.raises(ExponentOverflowError):
+        int_product([head, {_pack((0, 56)): 1}], impl)
+    with pytest.raises(ExponentOverflowError):
+        int_product([head, impl.from_dict({_pack((0, 56)): 1})], impl)
+    product = int_product([head, impl.from_dict({_pack((0, 55)): 1})], impl)
+    assert product.to_dict() == {_pack((1, 255)): 3, _pack((0, 56)): 1}
 
 
 @st.composite
@@ -314,6 +357,9 @@ def test_compiled_to_dict_lists_keys_largest_first():
         acc = impl.from_dict({})
         acc.fma(impl.from_dict(a), impl.from_dict(b), 1)
         tables.append(acc.to_dict())
+        taken = acc.take_dict()
+        assert list(taken.items()) == list(tables[-1].items())
+        assert acc.is_zero()
     keys = list(tables[1])
     assert len(keys) == 6000
     assert keys == sorted(keys, reverse=True)
@@ -559,6 +605,7 @@ import test_detkernel
 from shidcone.verify import saito_verify
 
 test_detkernel.check_range_ends(detkernel.IntPoly)
+test_detkernel.check_dumps(detkernel.IntPoly)
 assert saito_verify(3, method="expand").saito_ok
 assert saito_verify(3, method="certify").det_phi
 """

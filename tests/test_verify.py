@@ -529,6 +529,30 @@ def test_det_phi_property(cached_basis):
     assert certify.det_phi == expand.det_phi
 
 
+@pytest.mark.parametrize("fast", _BACKENDS)
+def test_det_phi_never_dumps_its_head(monkeypatch, fast):
+    # the chain's exponents are checked from the head's field peaks and the
+    # product, not the head, hands its terms over, so the reduced
+    # determinant is neither copied to a dict nor consumed
+    monkeypatch.setattr(detkernel, "HAS_FAST_KERNEL", fast)
+    report = saito_verify(3, method="expand")
+    head = report._det_data[0]
+    dumps = []
+    for name in ("to_dict", "take_dict"):
+        real = getattr(type(head), name)
+
+        def counted(self, real=real, name=name):
+            if self is head:
+                dumps.append(name)
+            return real(self)
+
+        monkeypatch.setattr(type(head), name, counted)
+    first = report.det_phi
+    assert report.det_phi == first
+    assert dumps == []
+    assert len(first) > 100
+
+
 def test_det_phi_folds_factor_denominators():
     report = saito_verify(2, method="certify")
     head, den, factors, nvars = report._det_data
