@@ -47,7 +47,9 @@ class LinearForm:
     def poly(self) -> Poly:
         return Poly.linear_form(self.nvars, self.coeffs)
 
+    @lru_cache(maxsize=None)
     def text(self) -> str:
+        # rendered once per hyperplane: membership keys its report by it
         return self.poly().render()
 
 

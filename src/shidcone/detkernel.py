@@ -16,7 +16,9 @@ Keys pass between ``Poly`` and the kernel unchanged:
   * ``int_product``: the product of a chain of factors.
 
 The last two raise ExponentOverflowError where a packed exponent could
-carry into the next field (``exactpoly.check_field_room``).  Two
+carry into the next field (``exactpoly.check_field_room``).  Besides the
+determinant, ``verify.check_membership`` sums its hyperplane restrictions
+on the kernel, on ``get_impl()``'s class wherever the ring fits it.  Two
 interchangeable implementations provide the kernel polynomial
 (``IntPolyLike``: ``from_dict``, ``to_dict``, ``take_dict``, ``field_peaks``,
 ``nnz``, ``is_zero``, ``fma``, ``lead``; ``fma`` is the one arithmetic
@@ -25,8 +27,8 @@ other with it and asking ``is_zero``):
 
   * ``DictPoly`` — pure Python, dict[int, int]; any number of variables.
                    Its ``fma`` is ``exactpoly.fma_terms``, the package's
-                   one loop over term pairs, which ``shi_basis`` calls
-                   directly to sum the basis.
+                   one loop over term pairs, which ``shi_basis`` and
+                   ``arrangement`` call directly.
   * ``IntPoly``  — open-addressing hash with signed 128-bit values in the
                    C file ``_detkernel.c``, called through ctypes; its int64
                    keys must stay below 2^56 (``KEY_LIMIT``), so at most 7
@@ -74,6 +76,7 @@ from __future__ import annotations
 import ctypes
 import os
 import warnings
+from array import array
 from ctypes import POINTER, c_int, c_int64, c_uint8, c_uint64, c_void_p
 from itertools import combinations
 from typing import Protocol, Sequence
@@ -153,7 +156,8 @@ _P64 = POINTER(c_int64)
 _SIGNATURES = {
     "sdc_new": (c_void_p, [c_int64]),
     "sdc_free": (None, [c_void_p]),
-    "sdc_load": (c_int, [c_void_p, c_int64, _P64, POINTER(c_uint64), _P64]),
+    # the arrays of sdc_load are passed as the addresses of array.array buffers
+    "sdc_load": (c_int, [c_void_p, c_int64, c_void_p, c_void_p, c_void_p]),
     "sdc_nnz": (c_int64, [c_void_p]),
     "sdc_dump": (c_int, [c_void_p, _P64, POINTER(c_uint64), _P64]),
     "sdc_fma": (c_int, [c_void_p, c_void_p, c_void_p, c_int]),
@@ -309,10 +313,11 @@ class IntPoly:
             vals = list(d.values())
             _check_value(max(vals))
             _check_value(min(vals))
-            keys = (c_int64 * n)(*d)
-            lo = (c_uint64 * n)(*[v & _MASK64 for v in vals])
-            hi = (c_int64 * n)(*[v >> 64 for v in vals])
-            _check(_lib.sdc_load(p._t, n, keys, lo, hi))
+            # array.array fills its buffer at C speed, which ctypes then reads
+            keys = array("q", d)
+            lo = array("Q", [v & _MASK64 for v in vals])
+            hi = array("q", [v >> 64 for v in vals])
+            _check(_lib.sdc_load(p._t, n, *(a.buffer_info()[0] for a in (keys, lo, hi))))
         return p
 
     def _dump(self) -> zip:

@@ -27,9 +27,10 @@ and both raise ExponentOverflowError instead.
 Products run on the stored integers: ``fma_terms`` is the package's one
 loop over term pairs, on packed keys and ``int`` coefficients.  A ``Poly``
 product multiplies the two coefficient maps there and takes the product of
-the two denominators; the kernel's pure-Python ``fma``, the basis sums of
-``shi_basis`` and the hyperplane restrictions of ``arrangement`` and
-``verify`` call it too.
+the two denominators; the kernel's pure-Python ``fma`` (which
+``verify``'s membership sums use on rings too large for the compiled
+kernel), the basis sums of ``shi_basis`` and the restriction tables of
+``arrangement`` call it too.
 
 Division runs over the integers as well: the divisor is scaled to a
 primitive integer polynomial, and one heap division loop (in the style of
@@ -44,6 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
+from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -81,11 +83,9 @@ def _unpack(key: int, nvars: int) -> Monomial:
 
 
 def _key_degree(key: int) -> int:
-    d = 0
-    while key:
-        d += key & FIELD_MASK
-        key >>= FIELD_BITS
-    return d
+    # FIELD_BITS = 8: the sum of the key's bytes; keys of 9 or more
+    # variables pass 64 bits, so the length comes from the key itself
+    return sum(key.to_bytes((key.bit_length() + 7) // 8, "big"))
 
 
 def _field_peaks(keys: Iterable[int]) -> dict[int, int]:
@@ -350,22 +350,30 @@ class Poly:
         Runs over the integers: with v_i = n_i / d_i and t_i the largest
         exponent of variable i, a stored term C * x^e adds
         C * prod n_i^e_i * d_i^(t_i - e_i), and the sum is divided once by
-        _den * prod d_i^t_i.
+        _den * prod d_i^t_i.  The product splits at the middle of the key,
+        as ``cli._write_terms`` splits it: the terms share few distinct high
+        and low halves, so each half's product is made once.
         """
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
         vals = [to_rational(v) for v in point]
-        monos = [_unpack(k, self.nvars) for k in self._terms]
-        top = [max(col) for col in zip(*monos)]
-        powers: list[dict[int, int]] = [{} for _ in vals]
-        total = 0
-        for mono, c in zip(monos, self._terms.values()):
-            for v, e, t, pw in zip(vals, mono, top, powers):
-                p = pw.get(e)
-                if p is None:
-                    p = pw[e] = v.numerator**e * v.denominator ** (t - e)
-                c *= p
-            total += c
+        nlow = self.nvars // 2
+        nhigh = self.nvars - nlow
+        shift = FIELD_BITS * nlow
+        mask = (1 << shift) - 1
+        # {half: its exponents}, then {half: its product}
+        high = {h: h.to_bytes(nhigh, "big") for h in {k >> shift for k in self._terms}}
+        low = {h: h.to_bytes(nlow, "big") for h in {k & mask for k in self._terms}}
+        top = [max(col) for col in zip(*high.values())] + [max(col) for col in zip(*low.values())]
+        # powers[i][e] = n_i^e * d_i^(t_i - e)
+        powers = [
+            [v.numerator**e * v.denominator ** (t - e) for e in range(t + 1)]
+            for v, t in zip(vals, top)
+        ]
+        for part, pw in ((high, powers[:nhigh]), (low, powers[nhigh:])):
+            for h, exps in part.items():
+                part[h] = prod(map(getitem, pw, exps))
+        total = sum(c * high[k >> shift] * low[k & mask] for k, c in self._terms.items())
         return Fraction(total, self._den * prod(v.denominator**t for v, t in zip(vals, top)))
 
     # -- rendering ---------------------------------------------------------
@@ -442,9 +450,9 @@ def fma_terms(
     """out += scale * a * b, for integer terms on packed keys, in place.
 
     The package's one loop over term pairs: ``Poly`` products, the
-    pure-Python kernel's ``fma`` and the hyperplane restrictions all run
-    here.  ``a`` is the outer loop.  A sum that cancels is deleted, so
-    ``out`` stores no zero if neither operand does.  Keys are added
+    pure-Python kernel's ``fma``, the basis sums and the restriction tables
+    all run here.  ``a`` is the outer loop.  A sum that cancels is deleted,
+    so ``out`` stores no zero if neither operand does.  Keys are added
     unchecked: callers keep every exponent within FIELD_MASK
     (``check_field_room``), and ``out`` must be neither operand.
     """

@@ -8,8 +8,11 @@ Checks performed by :func:`saito_verify`:
     theta(alpha) iff theta(alpha)(x_s := -beta) = 0: the restriction to the
     hyperplane.  It runs over the integers, with theta's coefficients
     cleared under one common denominator and each substituted straight into
-    one term dict per form by the restriction table of ``arrangement``
-    (shared with the oracle), so no image is built and nothing is divided;
+    one kernel polynomial per form by the restriction table of
+    ``arrangement`` (shared with the oracle), so no image is built and
+    nothing is divided.  The sums run on the kernel of ``get_impl()`` up to
+    rank 6 (the compiled kernel's keys hold 7 variables), on ``DictPoly``
+    above;
   * degrees: each nonzero phi_j(x_i) is homogeneous of degree 2(l-1),
     phi_j(z) = 0, and theta_E is the Euler field;
   * initial monomials: in(phi_i(x_i)) = x1^2 ... x_{i-1}^2 x_i^(2l-2i) with
@@ -53,8 +56,9 @@ Two exact strategies for the determinant identity:
     det[phi_j(x_i)].  Every premise is checked mechanically; the glue steps
     (Cramer, UFD, homogeneity of determinants) are classical.  Default for
     l >= 6.  ``saito_verify(l, method="certify")`` with the compiled kernel
-    took about 0.25 s at rank 6, 1.1 s at rank 7 and 6.9 s at rank 8 (wall
-    time, median of three fresh processes on a 2-vCPU Xeon VM).
+    took about 0.25 s at rank 6 (0.46 s with the membership sums in
+    Python), 1.3 s at rank 7, 6.9 s at rank 8 and 29 s at rank 9 (wall
+    time, median of three fresh processes on a shared 2-vCPU VM).
 
 Both strategies hand back det[phi_j(x_i)] in one form, head * prod(factors)
 / den: the reduced determinant and the column forms under ``expand``, the
@@ -73,11 +77,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import Sequence
 
-from .arrangement import Arrangement, restriction_table, shi_d_cone
+from .arrangement import Arrangement, LinearForm, restriction_table, shi_d_cone
 from .detkernel import (
+    KEY_LIMIT,
+    DictPoly,
     clear_columns,
     det_minor_expansion,
     get_impl,
@@ -86,13 +93,14 @@ from .detkernel import (
     poly_to_int_dict,
 )
 from .exactpoly import (
+    FIELD_BITS,
     DivisionNotExactError,
+    ExponentOverflowError,
     Poly,
     _unpack,
     clear_denominators,
     divides,
     exact_div,
-    fma_terms,
     split_by_variable,
 )
 from .shi_basis import Derivation, _x_bernoulli, basis, check_rank_fits
@@ -278,35 +286,79 @@ def check_membership(theta: Derivation, arr: Arrangement) -> dict[str, bool]:
     ``arrangement.restriction_table``: A are the form's integer
     coefficients, L x_s + B the form itself and E the largest total degree,
     so the sum is the restriction times a nonzero scale.  No image is built
-    and nothing is divided.  A form that does not divide is reported as an
+    and nothing is divided.
+
+    The sums run on the kernel polynomial of ``get_impl()`` wherever the
+    ring's keys fit it (the compiled kernel takes at most 7 variables), and
+    on ``DictPoly`` otherwise.  A derivation whose sums leave the compiled
+    kernel's 128-bit range is checked again on ``DictPoly``, so the range
+    never changes a verdict.  A form that does not divide is reported as an
     entry, never raised; a coefficient of total degree above FIELD_MASK
     raises ExponentOverflowError.
     """
     if arr.ell != theta.ell:
         raise ValueError("arrangement and derivation have different ranks")
+    impl = get_impl()
+    if 1 << FIELD_BITS * theta.nvars > KEY_LIMIT:
+        # keys of this ring can pass KEY_LIMIT, the compiled kernel's bound
+        impl = DictPoly
+    try:
+        return _restriction_sums(theta, arr, impl)
+    except ExponentOverflowError:
+        raise
+    except OverflowError:
+        return _restriction_sums(theta, arr, DictPoly)
+
+
+def _restriction_sums(theta: Derivation, arr: Arrangement, impl) -> dict[str, bool]:
+    """check_membership with the sums on kernel polynomials of ``impl``."""
     polys = theta.coefficients()
     # a term restricts to terms of its own total degree, so no exponent can
     # pass the largest total degree of the coefficients
     degree = max(0, *(p.total_degree() for p in polys))
     columns, _ = clear_denominators(polys)
+    wrap = _wrapper(impl)
     # the columns split by powers of x_s, for the forms led by x_s; the
     # forms come grouped by their lead, so one split of each is kept
     parts_lead, parts = None, {}
     out: dict[str, bool] = {}
     for form in arr.forms:
-        s, table = restriction_table(form, degree)
+        s, tables = _kernel_tables(form, degree, impl)
         if s != parts_lead:
             parts_lead, parts = s, {}
-        acc: dict[int, int] = {}
+        acc = impl.from_dict({})
         for i, a in enumerate(form.coeffs):
             if not a:
                 continue
             if i not in parts:
-                parts[i] = split_by_variable(columns[i], s, theta.nvars)
+                split = split_by_variable(columns[i], s, theta.nvars)
+                parts[i] = {e: wrap(part) for e, part in split.items()}
+            table = tables[abs(a)]
             for e, part in parts[i].items():
-                fma_terms(acc, table[e], part, a)
-        out[form.text()] = not acc
+                acc.fma(table[e], part, 1 if a > 0 else -1)
+        out[form.text()] = acc.is_zero()
     return out
+
+
+def _wrapper(impl):
+    """Term dicts to kernel polynomials of ``impl``: ``DictPoly`` wraps the
+    dict itself, which its ``fma`` only reads as an operand."""
+    return DictPoly if impl is DictPoly else impl.from_dict
+
+
+@lru_cache(maxsize=None)
+def _kernel_tables(form: LinearForm, degree: int, impl) -> tuple[int, dict[int, tuple]]:
+    """``restriction_table(form, degree)`` as kernel polynomials of
+    ``impl``, made once per process: (s, {|a|: entries}) for each nonzero
+    coefficient a of the form, the entries scaled by |a|, since ``fma``
+    takes only a sign."""
+    s, table = restriction_table(form, degree)
+    wrap = _wrapper(impl)
+    tables = {}
+    for a in {abs(a) for a in form.coeffs if a}:
+        scaled = table if a == 1 else [{k: c * a for k, c in t.items()} for t in table]
+        tables[a] = tuple(wrap(t) for t in scaled)
+    return s, tables
 
 
 # -- structural checks -------------------------------------------------------

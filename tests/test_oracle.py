@@ -2,8 +2,8 @@ import re
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
-from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -217,10 +217,14 @@ def test_charpoly_cap_applies_to_the_slice(monkeypatch):
 
 
 def _slice_count(ell: int, q: int) -> int:
-    """(q - 1) times the points of the slice z = 1 on none of the hyperplanes."""
-    forms = [form.coeffs for form in shi_d_cone(ell).forms]
-    points = product(*[range(q)] * ell, [1])
-    return (q - 1) * sum(all(sum(map(mul, form, x)) % q for form in forms) for x in points)
+    """(q - 1) times the points of the slice z = 1 on none of the hyperplanes:
+    all q^ell points of the slice, as the columns of one array, tested
+    against one form at a time."""
+    points = np.vstack([np.indices((q,) * ell).reshape(ell, -1), np.ones(q**ell, dtype=np.int64)])
+    off = np.ones(q**ell, dtype=bool)
+    for form in shi_d_cone(ell).forms:
+        off &= np.asarray(form.coeffs) @ points % q != 0
+    return (q - 1) * int(np.count_nonzero(off))
 
 
 _ADMISSIBLE = {ell: [q for q in (5, 7, 11, 13, 17, 19, 23) if q > 2 * ell - 1] for ell in (2, 3, 4)}

@@ -110,9 +110,31 @@ def test_membership_matches_apply_then_divide(cached_basis, ell):
             assert not all(verdicts), label
 
 
-def test_membership_matches_apply_then_divide_on_other_forms():
+# the kernel polynomial classes check_membership can sum on here
+_IMPLS = [detkernel.DictPoly] + ([detkernel.IntPoly] if detkernel.HAS_FAST_KERNEL else [])
+
+
+def _verdicts_on(monkeypatch, impl, derivs, arr):
+    """check_membership of each derivation, its sums on ``impl``."""
+    monkeypatch.setattr(verify, "get_impl", lambda: impl)
+    return [check_membership(d, arr) for d in derivs]
+
+
+@pytest.mark.skipif(not detkernel.HAS_FAST_KERNEL, reason="compiled kernel only")
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_membership_verdicts_agree_on_both_backends(monkeypatch, cached_basis, ell):
+    arr = shi_d_cone(ell)
+    derivs = cached_basis(ell)
+    for label, ds in {"basis": derivs, **_membership_mutants(derivs)}.items():
+        fast = _verdicts_on(monkeypatch, detkernel.IntPoly, ds, arr)
+        assert fast == _verdicts_on(monkeypatch, detkernel.DictPoly, ds, arr), label
+        assert all(all(row.values()) for row in fast) == (label == "basis")
+
+
+def test_membership_matches_apply_then_divide_on_other_forms(monkeypatch):
     # forms the Shi cone never uses: z, and two with leads 3 and 2 (one of
-    # them led by x2), so the restriction runs scaled by a non-unit lead
+    # them led by x2), so the restriction runs scaled by a non-unit lead,
+    # and the coefficients 3, 2 and 6 are folded into the kernel's tables
     n = 4
     forms = (
         LinearForm((0, 0, 0, 1)),
@@ -126,11 +148,16 @@ def test_membership_matches_apply_then_divide_on_other_forms():
         q = q * f.poly()
     passing = Derivation(3, "q", (q, q * x[1], q * Fraction(-7, 2)), q * x[3])
     failing = Derivation(3, "f", (x[0] ** 2, x[1] * x[3], x[2] ** 2 * Fraction(1, 3)), x[0] * x[1])
-    for d in (passing, failing):
-        got = check_membership(d, arr)
-        assert got == {f.text(): divides(f.poly(), apply(d, f.poly())) for f in forms}
-    assert all(check_membership(passing, arr).values())
-    assert not any(check_membership(failing, arr).values())
+    # the Euler field maps each form to itself, though no form divides any
+    # of its coefficients: it passes only with each coefficient's own scale
+    euler = Derivation(3, "E", tuple(x[:3]), x[3])
+    derivs = (passing, failing, euler)
+    for impl in _IMPLS:
+        got = _verdicts_on(monkeypatch, impl, derivs, arr)
+        for d, row in zip(derivs, got):
+            assert row == {f.text(): divides(f.poly(), apply(d, f.poly())) for f in forms}, impl
+        assert all(got[0].values()) and all(got[2].values())
+        assert not any(got[1].values())
 
 
 def test_membership_raises_on_a_degree_past_the_exponent_field():
@@ -140,6 +167,31 @@ def test_membership_raises_on_a_degree_past_the_exponent_field():
     big = Derivation(2, "big", (x1**200 * x2**100, Poly.zero(3)), Poly.zero(3))
     with pytest.raises(ExponentOverflowError, match="total degree 300"):
         check_membership(big, shi_d_cone(2))
+
+
+def test_membership_past_the_kernel_range_is_checked_on_dict_poly(monkeypatch, cached_basis):
+    # scaled by 2^130, the cleared coefficients leave the compiled kernel's
+    # 128-bit range; the verdicts must still be DictPoly's
+    arr = shi_d_cone(3)
+    derivs = cached_basis(3)
+    big = 1 << 130
+    passing = Derivation(3, "big", tuple(c * big for c in derivs[1].coeff_x), derivs[1].coeff_z)
+    failing = _membership_mutants(derivs)["perturbed"][1]
+    failing = Derivation(3, "bad", tuple(c * big for c in failing.coeff_x), failing.coeff_z)
+    got = [check_membership(d, arr) for d in (passing, failing)]
+    assert got == _verdicts_on(monkeypatch, detkernel.DictPoly, [passing, failing], arr)
+    assert all(got[0].values()) and not all(got[1].values())
+
+
+@pytest.mark.skipif(not detkernel.HAS_FAST_KERNEL, reason="compiled kernel only")
+def test_membership_sums_on_the_compiled_kernel(monkeypatch, cached_basis):
+    def refuse(*args):
+        raise AssertionError("DictPoly.fma called")
+
+    derivs = cached_basis(5)
+    monkeypatch.setattr(detkernel.DictPoly, "fma", refuse)
+    arr = shi_d_cone(5)
+    assert all(all(check_membership(d, arr).values()) for d in derivs)
 
 
 def test_basis_and_membership_divide_nothing(monkeypatch):
