@@ -4,7 +4,12 @@
  * key (int64, at most 56 bits used) to a 128-bit signed coefficient.  The
  * one arithmetic operation is the fused multiply-accumulate that the
  * determinant verification is hot on; two tables are compared by an fma
- * that must cancel.  All arithmetic is exact: each addition and
+ * that must cancel.  The fma can pair the terms by one exponent field,
+ * multiplying only the pairs whose exponents there agree and clearing the
+ * field in their sum, which restricts a column to a hyperplane in one call;
+ * the plain product is the pairing by a field past every key's fields.
+ * A dump lists the terms largest key first, sorted by a radix sort of the
+ * keys alone.  All arithmetic is exact: each addition and
  * multiplication of values is checked where it happens, and one that would
  * leave the signed 128-bit range is refused, never wrapped.  The Python
  * wrapper (detkernel.IntPoly) validates keys and loaded values.
@@ -152,39 +157,45 @@ int64_t sdc_nnz(const sdc_tab *t) {
     return t->nnz;
 }
 
-typedef struct {
-    int64_t key;
-    acc_t val;
-} term_t;
-
-static int by_key_desc(const void *a, const void *b) {
-    int64_t x = ((const term_t *)a)->key, y = ((const term_t *)b)->key;
-    return (x < y) - (x > y);
-}
-
 /* Writes the nonzero terms (sdc_nnz of them) to the three arrays, largest
  * key first: a reader that sorts them then meets one run, and a dict built
- * from them in that order is read in memory order. */
+ * from them in that order is read in memory order.  The keys alone are
+ * sorted, by an LSD radix sort on their 7 low bytes (keys are below 2^56)
+ * between keys and a scratch of 8 bytes a term, each pass stable and
+ * largest byte first; a pass whose byte is the same in every key is
+ * skipped.  Each value is then read back through tab_slot. */
 int sdc_dump(const sdc_tab *t, int64_t *keys, uint64_t *lo, int64_t *hi) {
-    int64_t i, j = 0;
-    term_t *s;
-    if (t->nnz == 0) return 0;
-    s = (term_t *)malloc((size_t)t->nnz * sizeof(term_t));
-    if (!s) return -1;
-    for (i = 0; i < t->cap; i++) {
-        if (t->keys[i] != -1 && t->vals[i] != 0) {
-            s[j].key = t->keys[i];
-            s[j].val = t->vals[i];
-            j++;
+    int64_t n = t->nnz, i, j = 0;
+    int64_t *src, *dst, *tmp;
+    int shift;
+    if (n == 0) return 0;
+    tmp = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    if (!tmp) return -1;
+    for (i = 0; i < t->cap; i++)
+        if (t->keys[i] != -1 && t->vals[i] != 0) keys[j++] = t->keys[i];
+    src = keys;
+    dst = tmp;
+    for (shift = 0; shift < 56; shift += 8) {
+        int64_t pos[256] = {0}, at = 0;
+        int d;
+        for (i = 0; i < n; i++) pos[(src[i] >> shift) & 0xFF]++;
+        if (pos[(src[0] >> shift) & 0xFF] == n) continue;
+        for (d = 255; d >= 0; d--) {
+            int64_t c = pos[d];
+            pos[d] = at;
+            at += c;
         }
+        for (i = 0; i < n; i++) dst[pos[(src[i] >> shift) & 0xFF]++] = src[i];
+        src = dst;
+        dst = src == keys ? tmp : keys;
     }
-    qsort(s, (size_t)j, sizeof(term_t), by_key_desc);
-    for (i = 0; i < j; i++) {
-        keys[i] = s[i].key;
-        lo[i] = (uint64_t)s[i].val;
-        hi[i] = (int64_t)(s[i].val >> 64);
+    if (src != keys) memcpy(keys, src, (size_t)n * sizeof(int64_t));
+    free(tmp);
+    for (i = 0; i < n; i++) {
+        acc_t v = t->vals[tab_slot(t, keys[i])];
+        lo[i] = (uint64_t)v;
+        hi[i] = (int64_t)(v >> 64);
     }
-    free(s);
     return 0;
 }
 
@@ -214,19 +225,35 @@ static int64_t next_live(const sdc_tab *t, int64_t i) {
 /* Inserts between a prefetch of a sum's home slot and the insert itself. */
 #define PREFETCH_AHEAD 16
 
-/* acc += sign * a * b; acc must be neither a nor b.
+/* The exponent in the byte field at bit shift of a key. */
+static int64_t field_of(int64_t key, int shift) {
+    return key >> shift & 0xFF;
+}
+
+/* acc += sign * a * b over the term pairs whose exponents in the byte
+ * field at bit shift agree, with that field cleared in their sum; acc must
+ * be neither a nor b.  shift is a multiple of 8 up to 56, and at 56, past
+ * the fields of every key (keys are below 2^56), every exponent there is 0,
+ * so every pair is multiplied: the plain product the determinant DP runs.
+ * A smaller shift pairs each power of one variable in a with the same power
+ * in b, as the restriction of a column to a hyperplane does.
+ *
+ * The terms of b are counting-sorted into buckets by their field, each
+ * bucket in slot order and with the field cleared, so each term of a walks
+ * only its own bucket; at shift 56 b is one bucket.
  *
  * The sums ka + kb land on random slots of a table far larger than the
  * cache, so each insert waits on memory.  While inserting one sum the loop
  * prefetches the home slot of the sum PREFETCH_AHEAD inserts later, which
- * at the end of a row of b is in the next row (the next live key of a).
- * A growth of acc in between only makes that prefetch useless, never
- * wrong: the insert looks its slot up again. */
-int sdc_fma(sdc_tab *acc, const sdc_tab *a, const sdc_tab *b, int sign) {
-    int64_t bn = b->nnz, i, ia, ib, j = 0;
+ * at the end of a bucket is in the bucket of the next live key of a.  A
+ * growth of acc in between only makes that prefetch useless, never wrong:
+ * the insert looks its slot up again. */
+int sdc_fma(sdc_tab *acc, const sdc_tab *a, const sdc_tab *b, int sign, int shift) {
+    int64_t bn = b->nnz, i, ia, ib;
+    int64_t start[257] = {0}, fill[256]; /* bucket e is [start[e], start[e + 1]) */
     int64_t *bk;
     acc_t *bv;
-    int rc = 0;
+    int rc = 0, e;
     if (bn == 0) return 0;
     bk = (int64_t *)malloc((size_t)bn * sizeof(int64_t));
     bv = (acc_t *)malloc((size_t)bn * sizeof(acc_t));
@@ -234,28 +261,42 @@ int sdc_fma(sdc_tab *acc, const sdc_tab *a, const sdc_tab *b, int sign) {
         free(bk); free(bv);
         return -1;
     }
+    for (i = 0; i < b->cap; i++)
+        if (b->keys[i] != -1 && b->vals[i] != 0) start[field_of(b->keys[i], shift) + 1]++;
+    for (e = 0; e < 256; e++) {
+        start[e + 1] += start[e];
+        fill[e] = start[e];
+    }
     for (i = 0; i < b->cap; i++) {
         if (b->keys[i] != -1 && b->vals[i] != 0) {
-            bk[j] = b->keys[i];
+            int64_t f = field_of(b->keys[i], shift), j = fill[f]++;
+            bk[j] = b->keys[i] - (f << shift);
             bv[j] = b->vals[i];
-            j++;
         }
     }
     for (ia = next_live(a, 0); ia < a->cap && rc == 0;) {
-        int64_t ka = a->keys[ia], next = next_live(a, ia + 1);
-        int64_t kn = next < a->cap ? a->keys[next] : -1;
-        acc_t va, term;
-        if (__builtin_mul_overflow(a->vals[ia], (acc_t)sign, &va)) {
+        int64_t ka = a->keys[ia], fa = field_of(ka, shift), next = next_live(a, ia + 1);
+        int64_t b0 = start[fa], b1 = start[fa + 1], kn = -1, n0 = 0, n1 = 0;
+        acc_t va = 0, term;
+        if (next < a->cap) {
+            int64_t fn = field_of(a->keys[next], shift);
+            kn = a->keys[next] - (fn << shift);
+            n0 = start[fn];
+            n1 = start[fn + 1];
+        }
+        ka -= fa << shift;
+        if (b0 < b1 && __builtin_mul_overflow(a->vals[ia], (acc_t)sign, &va)) {
             rc = -2;
             break;
         }
-        for (ib = 0; ib < bn; ib++) {
-            int64_t jb = ib + PREFETCH_AHEAD, kp = ka;
-            if (jb >= bn) {
-                jb -= bn;
+        for (ib = b0; ib < b1; ib++) {
+            int64_t jb = ib + PREFETCH_AHEAD, kp = ka, end = b1;
+            if (jb >= b1) {
+                jb += n0 - b1;
                 kp = kn;
+                end = n1;
             }
-            if (jb < bn && kp != -1) {
+            if (jb < end && kp != -1) {
                 int64_t h = tab_home(acc, kp + bk[jb]);
                 __builtin_prefetch(&acc->keys[h], 1);
                 __builtin_prefetch(&acc->vals[h], 1);

@@ -23,18 +23,26 @@ interchangeable implementations provide the kernel polynomial
 (``IntPolyLike``: ``from_dict``, ``to_dict``, ``take_dict``, ``field_peaks``,
 ``nnz``, ``is_zero``, ``fma``, ``lead``; ``fma`` is the one arithmetic
 operation, and two polynomials are compared by subtracting one from the
-other with it and asking ``is_zero``):
+other with it and asking ``is_zero``).  ``fma(a, b, sign, field=f)``, with
+f the bit offset of an exponent field (keyword only), multiplies only the
+term pairs whose exponents in that field agree and clears the field in
+their sum: membership multiplies each x_s^e part of a column by its
+restriction entry in one call.
 
   * ``DictPoly`` — pure Python, dict[int, int]; any number of variables.
                    Its ``fma`` is ``exactpoly.fma_terms``, the package's
                    one loop over term pairs, which ``shi_basis`` and
-                   ``arrangement`` call directly.
+                   ``arrangement`` call directly; with a field, once per
+                   shared exponent, on the operands' splits by that field,
+                   each kept until its dict changes.
   * ``IntPoly``  — open-addressing hash with signed 128-bit values in the
                    C file ``_detkernel.c``, called through ctypes; its int64
                    keys must stay below 2^56 (``KEY_LIMIT``), so at most 7
                    variables.  The C code checks each addition and
                    multiplication where it does it: leaving [-2^127, 2^127)
-                   raises OverflowError, and nothing wraps.
+                   raises OverflowError, and nothing wraps.  Its
+                   ``fma`` sorts b's terms into buckets by the field, so
+                   each term of a walks only its own bucket.
 
 The C table puts a key at the low bits of MurmurHash3's ``fmix64`` of the
 whole key and probes linearly.  Packed keys differ mostly in a few fields,
@@ -81,7 +89,16 @@ from ctypes import POINTER, c_int, c_int64, c_uint8, c_uint64, c_void_p
 from itertools import combinations
 from typing import Protocol, Sequence
 
-from .exactpoly import Poly, _field_peaks, _reduced, check_field_room, clear_denominators, fma_terms
+from .exactpoly import (
+    FIELD_BITS,
+    Poly,
+    _field_peaks,
+    _reduced,
+    check_field_room,
+    clear_denominators,
+    fma_terms,
+    split_by_field,
+)
 
 
 class IntPolyLike(Protocol):
@@ -92,7 +109,7 @@ class IntPolyLike(Protocol):
     def field_peaks(self) -> dict[int, int]: ...
     def nnz(self) -> int: ...
     def is_zero(self) -> bool: ...
-    def fma(self, a, b, sign: int) -> None: ...
+    def fma(self, a, b, sign: int, *, field: int | None = None) -> None: ...
     def lead(self) -> tuple[int, int] | None: ...
 
 
@@ -101,12 +118,16 @@ class DictPoly:
 
     Stores no zero coefficient: ``from_dict`` drops zeros and ``fma``
     deletes every sum that cancels, so the dict itself is the term map.
+    The last split of the dict by an exponent field is kept for the next
+    field-paired ``fma`` by the same field, and dropped when the dict
+    changes.
     """
 
-    __slots__ = ("d",)
+    __slots__ = ("d", "_split")
 
     def __init__(self, d: dict[int, int] | None = None):
         self.d = {} if d is None else d
+        self._split: tuple[int, dict[int, dict]] | None = None
 
     @staticmethod
     def from_dict(d: dict) -> "DictPoly":
@@ -117,6 +138,7 @@ class DictPoly:
 
     def take_dict(self) -> dict:
         d, self.d = self.d, {}
+        self._split = None
         return d
 
     def field_peaks(self) -> dict[int, int]:
@@ -128,12 +150,31 @@ class DictPoly:
     def is_zero(self) -> bool:
         return not self.d
 
-    def fma(self, a: "DictPoly", b: "DictPoly", sign: int) -> None:
+    def fma(self, a: "DictPoly", b: "DictPoly", sign: int, *, field: int | None = None) -> None:
+        """``IntPoly.fma``: with a field, one ``fma_terms`` per exponent
+        that a and b share in it, on their split parts."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if a is self or b is self:
             raise ValueError("fma operands must not alias the accumulator")
-        fma_terms(self.d, a.d, b.d, sign)
+        self._split = None
+        if field is None:
+            fma_terms(self.d, a.d, b.d, sign)
+            return
+        if field < 0 or field % FIELD_BITS:
+            raise ValueError(f"field must be a nonnegative multiple of {FIELD_BITS}")
+        a_parts = a._parts(field)
+        for e, part in b._parts(field).items():
+            if e in a_parts:
+                fma_terms(self.d, a_parts[e], part, sign)
+
+    def _parts(self, field: int) -> dict[int, dict]:
+        """``split_by_field(self.d, field)``, kept until the dict changes or
+        another field is asked for."""
+        if self._split is None or self._split[0] != field:
+            self._split = None  # freed before the new split is built
+            self._split = field, split_by_field(self.d, field)
+        return self._split[1]
 
     def lead(self) -> tuple[int, int] | None:
         key = max(self.d, default=None)
@@ -143,6 +184,10 @@ class DictPoly:
 # -- compiled kernel -----------------------------------------------------------
 
 KEY_LIMIT = 1 << 56  # packed keys must stay below this
+# the bit offset of each exponent field a key below KEY_LIMIT has; sdc_fma
+# reads every key's exponent at _NO_FIELD as 0, so that offset pairs every term
+_FIELDS = range(0, KEY_LIMIT.bit_length() - 1, FIELD_BITS)
+_NO_FIELD = len(_FIELDS) * FIELD_BITS
 _VALUE_LIMIT = 1 << 127  # values lie in [-_VALUE_LIMIT, _VALUE_LIMIT)
 _MASK64 = (1 << 64) - 1
 
@@ -160,7 +205,7 @@ _SIGNATURES = {
     "sdc_load": (c_int, [c_void_p, c_int64, c_void_p, c_void_p, c_void_p]),
     "sdc_nnz": (c_int64, [c_void_p]),
     "sdc_dump": (c_int, [c_void_p, _P64, POINTER(c_uint64), _P64]),
-    "sdc_fma": (c_int, [c_void_p, c_void_p, c_void_p, c_int]),
+    "sdc_fma": (c_int, [c_void_p, c_void_p, c_void_p, c_int, c_int]),
     "sdc_lead": (c_int64, [c_void_p, POINTER(c_uint64), _P64]),
     "sdc_peaks": (None, [c_void_p, POINTER(c_uint8)]),
 }
@@ -357,8 +402,13 @@ class IntPoly:
     def is_zero(self) -> bool:
         return _lib.sdc_nnz(self._t) == 0
 
-    def fma(self, a: "IntPoly", b: "IntPoly", sign: int) -> None:
+    def fma(self, a: "IntPoly", b: "IntPoly", sign: int, *, field: int | None = None) -> None:
         """self += sign * a * b   (sign must be +1 or -1).
+
+        With ``field``, the bit offset of an exponent field, only the term
+        pairs whose exponents in that field agree are multiplied, and the
+        field is cleared in their sum: one call pairs each power x_s^e of
+        a's terms with the terms of b that hold x_s^e, and leaves x_s out.
 
         Raises OverflowError if a product or a sum would leave the value
         range; self then holds a partial sum and must be discarded."""
@@ -366,7 +416,11 @@ class IntPoly:
             raise ValueError("sign must be +1 or -1")
         if a is self or b is self:
             raise ValueError("fma operands must not alias the accumulator")
-        _check(_lib.sdc_fma(self._t, a._t, b._t, sign))
+        if field is None:
+            field = _NO_FIELD
+        elif field not in _FIELDS:
+            raise ValueError(f"field must be one of {list(_FIELDS)}")
+        _check(_lib.sdc_fma(self._t, a._t, b._t, sign, field))
 
     def lead(self) -> tuple[int, int] | None:
         """(largest key with a nonzero value, that value); None if zero."""

@@ -164,7 +164,7 @@ class Poly:
     def variable(cls, nvars: int, var: int) -> "Poly":
         if not 0 <= var < nvars:
             raise IndexError(f"variable index {var} out of range for {nvars} variables")
-        return cls(nvars, {1 << (FIELD_BITS * (nvars - 1 - var)): 1})
+        return cls(nvars, {1 << variable_field(var, nvars): 1})
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Mapping[Sequence[int], object]) -> "Poly":
@@ -182,7 +182,7 @@ class Poly:
         """Polynomial c_0*x1 + ... + c_{n-1}*z from a coefficient vector."""
         if len(coeffs) != nvars:
             raise ValueError("coefficient vector has wrong length")
-        units = (1 << (FIELD_BITS * (nvars - 1 - i)) for i in range(nvars))
+        units = (1 << variable_field(i, nvars) for i in range(nvars))
         return _from_rationals(nvars, {k: to_rational(c) for k, c in zip(units, coeffs)})
 
     # -- inspection --------------------------------------------------------
@@ -314,7 +314,7 @@ class Poly:
         """Formal partial derivative with respect to variable index ``var``."""
         if not 0 <= var < self.nvars:
             raise IndexError(f"variable index {var} out of range")
-        shift = FIELD_BITS * (self.nvars - 1 - var)
+        shift = variable_field(var, self.nvars)
         unit = 1 << shift
         out: dict[int, int] = {}
         for k, c in self._terms.items():
@@ -330,7 +330,7 @@ class Poly:
         self._check_compat(g)
         # Group terms by the exponent of var, then apply Horner's rule in g
         # over the descending distinct exponents.
-        by_exp = split_by_variable(self._terms, var, self.nvars)
+        by_exp = split_by_field(self._terms, variable_field(var, self.nvars))
         result = Poly(self.nvars)
         prev: int | None = None
         for e in sorted(by_exp, reverse=True):
@@ -560,14 +560,19 @@ def divides(b: Poly, a: Poly) -> bool:
     return _divide(dict(a._terms), divisor, a.nvars) is not None
 
 
-def split_by_variable(terms: Mapping[int, object], var: int, nvars: int) -> dict[int, dict]:
-    """Terms with packed keys of an nvars-variable ring, grouped by the
-    exponent e of x_var: {e: {key with x_var^e removed: coefficient}}."""
-    shift = FIELD_BITS * (nvars - 1 - var)
+def variable_field(var: int, nvars: int) -> int:
+    """The bit offset of x_var's exponent field in the keys of an
+    nvars-variable ring."""
+    return FIELD_BITS * (nvars - 1 - var)
+
+
+def split_by_field(terms: Mapping[int, object], field: int) -> dict[int, dict]:
+    """Terms with packed keys grouped by their exponent e in the field at bit
+    offset ``field``: {e: {key with that field cleared: coefficient}}."""
     out: dict[int, dict] = {}
     for k, c in terms.items():
-        e = (k >> shift) & FIELD_MASK
-        out.setdefault(e, {})[k - (e << shift)] = c
+        e = (k >> field) & FIELD_MASK
+        out.setdefault(e, {})[k - (e << field)] = c
     return out
 
 
@@ -575,7 +580,7 @@ def divide_by_variable(terms: dict[int, int], var: int, nvars: int) -> dict[int,
     """terms / x_var for integer terms with packed keys of an nvars-variable
     ring: each key loses one x_var.  Raises DivisionNotExactError if a key
     has none."""
-    shift = FIELD_BITS * (nvars - 1 - var)
+    shift = variable_field(var, nvars)
     unit = 1 << shift
     out: dict[int, int] = {}
     for k, c in terms.items():

@@ -9,7 +9,8 @@ Checks performed by :func:`saito_verify`:
     hyperplane.  It runs over the integers, with theta's coefficients
     cleared under one common denominator and each substituted straight into
     one kernel polynomial per form by the restriction table of
-    ``arrangement`` (shared with the oracle), so no image is built and
+    ``arrangement`` (shared with the oracle), one ``fma`` per coefficient
+    that pairs the terms by their power of x_s, so no image is built and
     nothing is divided.  The sums run on the kernel of ``get_impl()`` up to
     rank 6 (the compiled kernel's keys hold 7 variables), on ``DictPoly``
     above;
@@ -56,9 +57,9 @@ Two exact strategies for the determinant identity:
     det[phi_j(x_i)].  Every premise is checked mechanically; the glue steps
     (Cramer, UFD, homogeneity of determinants) are classical.  Default for
     l >= 6.  ``saito_verify(l, method="certify")`` with the compiled kernel
-    took about 0.25 s at rank 6 (0.46 s with the membership sums in
-    Python), 1.3 s at rank 7, 6.9 s at rank 8 and 29 s at rank 9 (wall
-    time, median of three fresh processes on a shared 2-vCPU VM).
+    took about 0.15 s at rank 6 (membership 0.07 s), 1.3 s at rank 7,
+    6.9 s at rank 8 and 29 s at rank 9 (wall time, median of three to six
+    fresh processes on a shared 2-vCPU VM).
 
 Both strategies hand back det[phi_j(x_i)] in one form, head * prod(factors)
 / den: the reduced determinant and the column forms under ``expand``, the
@@ -85,6 +86,7 @@ from .arrangement import Arrangement, LinearForm, restriction_table, shi_d_cone
 from .detkernel import (
     KEY_LIMIT,
     DictPoly,
+    IntPolyLike,
     clear_columns,
     det_minor_expansion,
     get_impl,
@@ -101,7 +103,7 @@ from .exactpoly import (
     clear_denominators,
     divides,
     exact_div,
-    split_by_variable,
+    variable_field,
 )
 from .shi_basis import Derivation, _x_bernoulli, basis, check_rank_fits
 
@@ -280,13 +282,14 @@ def check_membership(theta: Derivation, arr: Arrangement) -> dict[str, bool]:
     With alpha = x_s + beta (x_s its lex-first variable), alpha divides
     theta(alpha) = sum_i a_i theta(x_i) iff the restriction to its
     hyperplane, theta(alpha)(x_s := -beta), is zero.  The coefficients
-    theta(x_i) are cleared to integers under one denominator and split by
-    their powers of x_s.  The part with x_s^e goes into one integer sum per
-    form times A_i L^(E - e) (-B)^e, the entry of
-    ``arrangement.restriction_table``: A are the form's integer
-    coefficients, L x_s + B the form itself and E the largest total degree,
-    so the sum is the restriction times a nonzero scale.  No image is built
-    and nothing is divided.
+    theta(x_i) are cleared to integers under one denominator, and each one's
+    part with x_s^e goes into one integer sum per form times A_i L^(E - e)
+    (-B)^e, the entry of ``arrangement.restriction_table``: A are the
+    form's integer coefficients, L x_s + B the form itself and E the largest
+    total degree, so the sum is the restriction times a nonzero scale.  The
+    entries of a form sit in one kernel polynomial, each with its e in x_s's
+    exponent field, so one ``fma`` paired by that field adds the whole of
+    A_i theta(x_i).  No image is built and nothing is divided.
 
     The sums run on the kernel polynomial of ``get_impl()`` wherever the
     ring's keys fit it (the compiled kernel takes at most 7 variables), and
@@ -317,25 +320,26 @@ def _restriction_sums(theta: Derivation, arr: Arrangement, impl) -> dict[str, bo
     # pass the largest total degree of the coefficients
     degree = max(0, *(p.total_degree() for p in polys))
     columns, _ = clear_denominators(polys)
+    # each nonzero column is loaded once and dropped after the last form
+    # that reads it; on DictPoly it keeps its split by the lead variable,
+    # and the forms come grouped by their lead, so it is split once a lead
+    last = {
+        i: n
+        for n, form in enumerate(arr.forms)
+        for i, a in enumerate(form.coeffs)
+        if a and columns[i]
+    }
     wrap = _wrapper(impl)
-    # the columns split by powers of x_s, for the forms led by x_s; the
-    # forms come grouped by their lead, so one split of each is kept
-    parts_lead, parts = None, {}
+    loaded = {i: wrap(columns[i]) for i in last}
     out: dict[str, bool] = {}
-    for form in arr.forms:
-        s, tables = _kernel_tables(form, degree, impl)
-        if s != parts_lead:
-            parts_lead, parts = s, {}
+    for n, form in enumerate(arr.forms):
+        field, tables = _kernel_tables(form, degree, impl)
         acc = impl.from_dict({})
         for i, a in enumerate(form.coeffs):
-            if not a:
-                continue
-            if i not in parts:
-                split = split_by_variable(columns[i], s, theta.nvars)
-                parts[i] = {e: wrap(part) for e, part in split.items()}
-            table = tables[abs(a)]
-            for e, part in parts[i].items():
-                acc.fma(table[e], part, 1 if a > 0 else -1)
+            if a and i in loaded:
+                acc.fma(tables[abs(a)], loaded[i], 1 if a > 0 else -1, field=field)
+                if last[i] == n:
+                    del loaded[i]
         out[form.text()] = acc.is_zero()
     return out
 
@@ -347,18 +351,22 @@ def _wrapper(impl):
 
 
 @lru_cache(maxsize=None)
-def _kernel_tables(form: LinearForm, degree: int, impl) -> tuple[int, dict[int, tuple]]:
-    """``restriction_table(form, degree)`` as kernel polynomials of
-    ``impl``, made once per process: (s, {|a|: entries}) for each nonzero
-    coefficient a of the form, the entries scaled by |a|, since ``fma``
-    takes only a sign."""
+def _kernel_tables(form: LinearForm, degree: int, impl) -> tuple[int, dict[int, IntPolyLike]]:
+    """``restriction_table(form, degree)`` as one kernel polynomial of
+    ``impl`` per |a|, a nonzero coefficient of the form, made once per
+    process: (field, {|a|: table}), ``field`` the bit offset of the lead
+    variable x_s.  The table holds each entry, for x_s^e, with e written
+    into x_s's field, which the entry leaves empty, so ``fma(table,
+    column, sign, field=field)`` multiplies each x_s^e part of the column
+    by its entry; it is scaled by |a|, since ``fma`` takes only a sign."""
     s, table = restriction_table(form, degree)
+    field = variable_field(s, form.nvars)
+    merged = {k + (e << field): c for e, entry in enumerate(table) for k, c in entry.items()}
     wrap = _wrapper(impl)
     tables = {}
     for a in {abs(a) for a in form.coeffs if a}:
-        scaled = table if a == 1 else [{k: c * a for k, c in t.items()} for t in table]
-        tables[a] = tuple(wrap(t) for t in scaled)
-    return s, tables
+        tables[a] = wrap(merged if a == 1 else {k: c * a for k, c in merged.items()})
+    return field, tables
 
 
 # -- structural checks -------------------------------------------------------

@@ -22,7 +22,14 @@ from shidcone.detkernel import (
     int_product,
     poly_to_int_dict,
 )
-from shidcone.exactpoly import FIELD_MASK, ExponentOverflowError, Poly, _pack
+from shidcone.exactpoly import (
+    FIELD_MASK,
+    ExponentOverflowError,
+    Poly,
+    _pack,
+    _unpack,
+    variable_field,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -347,6 +354,93 @@ def test_compiled_fma_matches_dict_fma_while_growing(operands):
     assert results[1].nnz() == len(start)
 
 
+@st.composite
+def _field_fma_operands(draw):
+    """(nvars, var, acc, a, b, sign) over 2 to 7 variables.  x_var's
+    exponents come from a few values that include 0 and 255, so some
+    exponents are shared by a and b and some are not (empty buckets); the
+    other exponents stay below 128, so no sum carries."""
+    nvars = draw(st.integers(2, 7))
+    var = draw(st.integers(0, nvars - 1))
+    lead = st.sampled_from((0, 1, 2, 254, 255))
+
+    def key(e):
+        return _pack([e if v == var else draw(st.integers(0, 127)) for v in range(nvars)])
+
+    def terms(exponent, max_size):
+        size = draw(st.integers(0, max_size))
+        coeff = st.integers(-(1 << 40), 1 << 40).filter(bool)
+        return {key(draw(exponent)): draw(coeff) for _ in range(size)}
+
+    acc = terms(st.just(0), 4)
+    return nvars, var, acc, terms(lead, 12), terms(lead, 12), draw(st.sampled_from((1, -1)))
+
+
+def _split_by_exponent(terms, var, nvars):
+    """{e: terms with x_var^e, x_var taken out}, through exponent tuples."""
+    out = {}
+    for k, c in terms.items():
+        exps = list(_unpack(k, nvars))
+        e, exps[var] = exps[var], 0
+        out.setdefault(e, {})[_pack(exps)] = c
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_field_fma_operands())
+def test_field_fma_is_one_plain_fma_per_shared_exponent(operands):
+    # fma(a, b, field=x_var's field) equals splitting both operands by their
+    # power of x_var and one plain fma of the two parts per shared power
+    nvars, var, acc, a, b, sign = operands
+    field = variable_field(var, nvars)
+    parts_a, parts_b = (_split_by_exponent(t, var, nvars) for t in (a, b))
+    for impl in {DictPoly, get_impl()}:
+        expected = impl.from_dict(acc)
+        for e in parts_a.keys() & parts_b.keys():
+            expected.fma(impl.from_dict(parts_a[e]), impl.from_dict(parts_b[e]), sign)
+        got = _fma(impl, acc, a, b, sign, field=field)
+        assert got.to_dict() == expected.to_dict()
+        assert got.nnz() == expected.nnz()
+
+
+def test_field_must_be_an_exponent_field():
+    # the compiled kernel's keys have no field at bit 56, DictPoly's may
+    for impl in {DictPoly, get_impl()}:
+        a, b = impl.from_dict({1: 1}), impl.from_dict({1: 2})
+        bad = (-8, 3, 56) if impl is not DictPoly else (-8, 3)
+        for field in bad:
+            with pytest.raises(ValueError, match="field"):
+                impl.from_dict({}).fma(a, b, 1, field=field)
+
+
+def test_dict_poly_keeps_one_split_until_its_dict_changes(monkeypatch):
+    splits = []
+    split = detkernel.split_by_field
+
+    def counted(terms, field):
+        splits.append(field)
+        return split(terms, field)
+
+    monkeypatch.setattr(detkernel, "split_by_field", counted)
+    # 3 x1 x2 times 5 x1 + x2, paired by x1 (field 8) or by x2 (field 0)
+    a, b = DictPoly({_pack((1, 1)): 3}), DictPoly({_pack((1, 0)): 5, _pack((0, 1)): 1})
+    acc = DictPoly()
+    acc.fma(a, b, 1, field=8)
+    assert acc.to_dict() == {_pack((0, 1)): 15}
+    acc.fma(a, b, -1, field=8)
+    assert acc.is_zero() and splits == [8, 8]
+    acc.fma(a, b, 1, field=0)
+    assert acc.to_dict() == {_pack((1, 0)): 3}
+    assert splits == [8, 8, 0, 0]
+    # b is split again for field 8; acc's split goes when its dict changes
+    other = DictPoly()
+    other.fma(acc, b, 1, field=8)
+    acc.fma(a, b, 1)
+    other.fma(acc, b, 1, field=8)
+    assert splits == [8, 8, 0, 0, 8, 8, 8]
+    assert other.to_dict() == {0: 30, _pack((0, 2)): 15}
+
+
 @_COMPILED
 def test_compiled_to_dict_lists_keys_largest_first():
     # 6,000 products grow the table from 16 slots to 16,384, ten rehashes
@@ -364,6 +458,23 @@ def test_compiled_to_dict_lists_keys_largest_first():
     assert len(keys) == 6000
     assert keys == sorted(keys, reverse=True)
     assert tables[1] == tables[0]
+
+
+@_COMPILED
+def test_compiled_dump_sorts_keys_of_seven_fields():
+    # the radix sort reads all 7 bytes of a key; keys that agree in some
+    # bytes, and tables of one and of two terms, come out largest first too
+    rng = random.Random(3)
+    impl = get_impl(fast=True)
+    tables = [
+        {rng.randrange(1 << 56): rng.randrange(-(2**127), 2**127) or 1 for _ in range(5000)},
+        {_pack((rng.randrange(256), 7, 0, 9, rng.randrange(3), 0, 255)): 1 for _ in range(300)},
+        {_pack((0,) * 6 + (3,)): -1},
+        {5: 2, 1 << 55: 3},
+    ]
+    for terms in tables:
+        got = impl.from_dict(terms).to_dict()
+        assert list(got.items()) == sorted(terms.items(), reverse=True)
 
 
 @_COMPILED
@@ -421,20 +532,40 @@ _FMA_OVERFLOWS = [
 ]
 
 
-def _fma(impl, acc, a, b, sign):
+# the same for the field-paired fma, paired by the exponent of x1 in keys of
+# two variables (field 8): the pair with x1^1 meets the range end, while the
+# x1^2 term of a (-2^127, which sign -1 could not negate) and the x1^3 term
+# of b find no partner and are never multiplied
+_X1 = 1 << 8
+_FIELD_FITS = [
+    ({1: 2**126 - 1}, {_X1: 2**63, 2 * _X1: -(2**127)}, {_X1 + 1: 2**63, 3 * _X1: 7}, -1),
+    ({1: -(2**126)}, {_X1: 2**63, 2 * _X1: 5}, {_X1 + 1: 2**63}, -1),
+    ({}, {2 * _X1: -(2**127)}, {_X1: 3}, -1),
+]
+_FIELD_OVERFLOWS = [
+    ({1: 2**126}, {_X1: 2**63}, {_X1 + 1: 2**63, 3 * _X1: 7}, 1),
+    ({}, {_X1: -(2**127), 2 * _X1: 1}, {_X1: 1}, -1),
+]
+
+
+def _fma(impl, acc, a, b, sign, field=None):
     out = impl.from_dict(acc)
-    out.fma(impl.from_dict(a), impl.from_dict(b), sign)
+    out.fma(impl.from_dict(a), impl.from_dict(b), sign, field=field)
     return out
 
 
 def check_range_ends(impl):
     """The named cases at the ends of the value range, on the compiled
-    kernel ``impl`` (a function, so that a sanitizer build can run it)."""
-    for operands in _FMA_FITS:
-        assert _fma(impl, *operands).to_dict() == _fma(DictPoly, *operands).to_dict()
-    for operands in _FMA_OVERFLOWS:
+    kernel ``impl``, without and with a field (a function, so that a
+    sanitizer build can run it)."""
+    for operands, field in [(o, None) for o in _FMA_FITS] + [(o, 8) for o in _FIELD_FITS]:
+        got = _fma(impl, *operands, field=field).to_dict()
+        assert got == _fma(DictPoly, *operands, field=field).to_dict()
+    assert _fma(impl, *_FIELD_FITS[0], field=8).to_dict() == {1: -1}
+    overflows = [(o, None) for o in _FMA_OVERFLOWS] + [(o, 8) for o in _FIELD_OVERFLOWS]
+    for operands, field in overflows:
         with pytest.raises(OverflowError):
-            _fma(impl, *operands)
+            _fma(impl, *operands, field=field)
 
 
 @pytest.mark.parametrize("operands", _FMA_FITS)

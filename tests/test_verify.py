@@ -194,6 +194,79 @@ def test_membership_sums_on_the_compiled_kernel(monkeypatch, cached_basis):
     assert all(all(check_membership(d, arr).values()) for d in derivs)
 
 
+def _membership_work(arr, derivs):
+    """For each derivation, its cleared columns and the number of (form,
+    column) pairs with a nonzero form coefficient and a nonzero column."""
+    from shidcone.exactpoly import clear_denominators
+
+    out = []
+    for d in derivs:
+        columns, _ = clear_denominators(d.coefficients())
+        pairs = sum(1 for f in arr.forms for a, c in zip(f.coeffs, columns) if a and c)
+        out.append((columns, pairs))
+    return out
+
+
+@pytest.mark.skipif(not detkernel.HAS_FAST_KERNEL, reason="compiled kernel only")
+def test_membership_loads_each_column_once_and_pairs_by_field(monkeypatch, cached_basis):
+    # on the compiled kernel one membership loads each nonzero column once,
+    # no part of one, and makes one field-paired fma per form coefficient
+    # and nonzero column; its tables are loaded once per process, before
+    arr = shi_d_cone(5)
+    derivs = cached_basis(5)
+    impl = detkernel.IntPoly
+    monkeypatch.setattr(verify, "get_impl", lambda: impl)
+    for d in derivs:
+        check_membership(d, arr)
+    loads, fields = [], []
+    from_dict, fma = impl.from_dict, impl.fma
+
+    def load(d):
+        loads.append(d)
+        return from_dict(d)
+
+    def counted(self, a, b, sign, *, field=None):
+        fields.append(field)
+        fma(self, a, b, sign, field=field)
+
+    monkeypatch.setattr(impl, "from_dict", staticmethod(load))
+    monkeypatch.setattr(impl, "fma", counted)
+    for d, (columns, pairs) in zip(derivs, _membership_work(arr, derivs)):
+        loads.clear()
+        fields.clear()
+        assert all(check_membership(d, arr).values())
+        # one empty accumulator per form, and each nonzero column once
+        assert sorted(sorted(t.items()) for t in loads if t) == sorted(
+            sorted(c.items()) for c in columns if c
+        )
+        assert len(loads) == len(arr.forms) + sum(1 for c in columns if c)
+        assert len(fields) == pairs and None not in fields
+
+
+def test_membership_splits_each_column_once_a_lead_on_dict_poly(monkeypatch, cached_basis):
+    arr = shi_d_cone(5)
+    derivs = cached_basis(5)
+    monkeypatch.setattr(verify, "get_impl", lambda: detkernel.DictPoly)
+    for d in derivs:
+        check_membership(d, arr)
+    leads = len({next(i for i, a in enumerate(f.coeffs) if a) for f in arr.forms})
+    splits = []
+    split = detkernel.split_by_field
+
+    def counted(terms, field):
+        splits.append((terms, field))
+        return split(terms, field)
+
+    monkeypatch.setattr(detkernel, "split_by_field", counted)
+    for d, (columns, _) in zip(derivs, _membership_work(arr, derivs)):
+        splits.clear()
+        assert all(check_membership(d, arr).values())
+        # only columns are split (the tables keep theirs), each once a field
+        split_columns = [(columns.index(t), field) for t, field in splits]
+        assert len(set(split_columns)) == len(split_columns)
+        assert len(split_columns) <= leads * sum(1 for c in columns if c)
+
+
 def test_basis_and_membership_divide_nothing(monkeypatch):
     # phi coefficients are summed over the integers and membership restricts;
     # neither reaches the polynomial division loop
