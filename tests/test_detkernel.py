@@ -355,6 +355,65 @@ def test_compiled_fma_matches_dict_fma_while_growing(operands):
 
 
 @st.composite
+def _homogeneous_fma_operands(draw):
+    """(acc, a, b, sign) with a and b homogeneous in 3 to 7 variables, as
+    the compiled kernel sums them on slabs.  One variable other than x1
+    (whose field is the top one, so a carry from it would leave the keys'
+    range) reaches exponents in a and b that sum to 254, 255 or 256 over
+    their largest terms: the products fit the slab, fill its field to the
+    last value, or carry and take the hash path.  The other exponents stay
+    small.  acc is empty, holds the negated products of some pairs, which
+    cancel, or also terms of another degree."""
+    nvars = draw(st.integers(3, 7))
+    hot = draw(st.integers(1, nvars - 1))
+    peak_sum = draw(st.sampled_from((254, 255, 256)))
+    peak_a = draw(st.integers(max(0, peak_sum - 255), min(255, peak_sum)))
+    coeff = st.integers(-(1 << 40), 1 << 40).filter(bool)
+
+    def terms(peak):
+        rest = draw(st.integers(0, 12))  # the degree is peak + rest
+
+        def key(drop):
+            h = max(peak - drop, 0)
+            exps = [0] * nvars
+            for _ in range(peak + rest - h):
+                exps[draw(st.sampled_from([v for v in range(nvars) if v != hot]))] += 1
+            exps[hot] = h
+            return _pack(exps)
+
+        size = draw(st.integers(0, 25))
+        out = {key(0): draw(coeff)}
+        out.update({key(draw(st.integers(0, 3))): draw(coeff) for _ in range(size)})
+        return out
+
+    a, b = terms(peak_a), terms(peak_sum - peak_a)
+    sign = draw(st.sampled_from((1, -1)))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(list(a)), st.sampled_from(list(b)))))
+    acc = {ka + kb: -sign * a[ka] * b[kb] for ka, kb in pairs}
+    if draw(st.booleans()):
+        # a term of one degree more than the products
+        acc[max(a) + max(b) + 1] = draw(coeff)
+    return acc, a, b, sign
+
+
+@settings(max_examples=150, deadline=None)
+@given(_homogeneous_fma_operands())
+def test_homogeneous_fma_matches_dict_fma(operands):
+    # the slab path of the compiled kernel, and the hash path it falls back
+    # to, against DictPoly; the opposite sign takes every product back out
+    acc, a, b, sign = operands
+    expected = _fma(DictPoly, acc, a, b, sign).to_dict()
+    for impl in {DictPoly, get_impl()}:
+        out = _fma(impl, acc, a, b, sign)
+        got = out.to_dict()
+        assert got == expected and out.nnz() == len(expected)
+        if impl is not DictPoly:
+            assert list(got) == sorted(got, reverse=True)
+        out.fma(impl.from_dict(a), impl.from_dict(b), -sign)
+        assert out.to_dict() == {k: v for k, v in acc.items() if v}
+
+
+@st.composite
 def _field_fma_operands(draw):
     """(nvars, var, acc, a, b, sign) over 2 to 7 variables.  x_var's
     exponents come from a few values that include 0 and 255, so some
@@ -548,6 +607,26 @@ _FIELD_OVERFLOWS = [
 ]
 
 
+# the same for homogeneous operands in four variables, which the compiled
+# kernel sums on its slab path: 2^63 x1 x3^255 times 2^63 x1 meets the range
+# end at x1^2 x3^255 (_SLAB_KEY), while the product of a's second term,
+# x2^255 x3, lies in another slab (x2 and x3 take 256 values each, which
+# fill a slab, so x1's exponent names it)
+_SLAB_A, _SLAB_A2, _SLAB_B = _pack((1, 0, 255, 0)), _pack((0, 255, 1, 0)), _pack((1, 0, 0, 0))
+_SLAB_KEY = _SLAB_A + _SLAB_B
+_SLAB_OTHER_DEGREE_257 = _pack((2, 0, 0, 255))
+_SLAB_FITS = [
+    ({_SLAB_KEY: 2**126 - 1}, {_SLAB_A: 2**63, _SLAB_A2: 3}, {_SLAB_B: 2**63}, 1),
+    ({_SLAB_KEY: -(2**126)}, {_SLAB_A: 2**63, _SLAB_A2: -5}, {_SLAB_B: 2**63, 1: -5}, -1),
+    ({_SLAB_OTHER_DEGREE_257: 1}, {_SLAB_A: -(2**127)}, {_SLAB_B: 1}, 1),
+]
+_SLAB_OVERFLOWS = [
+    ({_SLAB_KEY: 2**126}, {_SLAB_A: 2**63}, {_SLAB_B: 2**63}, 1),
+    ({}, {_SLAB_A: 2**99, _SLAB_A2: 1}, {_SLAB_B: -(2**99)}, -1),
+    ({_SLAB_OTHER_DEGREE_257: 1}, {_SLAB_A: 1}, {_SLAB_B: -(2**127)}, -1),
+]
+
+
 def _fma(impl, acc, a, b, sign, field=None):
     out = impl.from_dict(acc)
     out.fma(impl.from_dict(a), impl.from_dict(b), sign, field=field)
@@ -557,15 +636,21 @@ def _fma(impl, acc, a, b, sign, field=None):
 def check_range_ends(impl):
     """The named cases at the ends of the value range, on the compiled
     kernel ``impl``, without and with a field (a function, so that a
-    sanitizer build can run it)."""
-    for operands, field in [(o, None) for o in _FMA_FITS] + [(o, 8) for o in _FIELD_FITS]:
+    sanitizer build can run it).  A refused fma leaves its accumulator as
+    it was."""
+    plain = _FMA_FITS + _SLAB_FITS
+    for operands, field in [(o, None) for o in plain] + [(o, 8) for o in _FIELD_FITS]:
         got = _fma(impl, *operands, field=field).to_dict()
         assert got == _fma(DictPoly, *operands, field=field).to_dict()
     assert _fma(impl, *_FIELD_FITS[0], field=8).to_dict() == {1: -1}
-    overflows = [(o, None) for o in _FMA_OVERFLOWS] + [(o, 8) for o in _FIELD_OVERFLOWS]
-    for operands, field in overflows:
+    assert _fma(impl, *_SLAB_FITS[0]).to_dict()[_SLAB_KEY] == 2**127 - 1
+    assert _fma(impl, *_SLAB_FITS[1]).to_dict()[_SLAB_KEY] == -(2**127)
+    overflows = [(o, None) for o in _FMA_OVERFLOWS + _SLAB_OVERFLOWS]
+    for (acc, a, b, sign), field in overflows + [(o, 8) for o in _FIELD_OVERFLOWS]:
+        out = impl.from_dict(acc)
         with pytest.raises(OverflowError):
-            _fma(impl, *operands, field=field)
+            out.fma(impl.from_dict(a), impl.from_dict(b), sign, field=field)
+        assert out.to_dict() == acc
 
 
 @pytest.mark.parametrize("operands", _FMA_FITS)
