@@ -11,10 +11,13 @@
  * the plain product is the pairing by a field past every key's fields.
  * All arithmetic is exact: each addition and multiplication of values is
  * checked where it happens, and one that would leave the signed 128-bit
- * range is refused, never wrapped.  The Python wrapper (detkernel.IntPoly)
- * validates keys and loaded values.  The term count, the lead term and a
- * dump read the arrays as they are, and a polynomial carries its degree and
- * a bound on each field's exponents, set with its terms.
+ * range is refused, never wrapped.  The sign of an fma is multiplied into
+ * the values of an operand that holds no -2^127 where one does not, so only
+ * an fma whose operands both hold -2^127 may refuse a result that fits.
+ * The Python wrapper (detkernel.IntPoly) validates keys and loaded values.
+ * The term count, the lead term, a dump and the JSON text of the terms
+ * (sdc_write_json) read the arrays as they are, and a polynomial carries
+ * its degree and a bound on each field's exponents, set with its terms.
  *
  * An fma builds the new terms of acc beside the old ones, by one of two
  * paths, and swaps them in only when it succeeds:
@@ -47,6 +50,8 @@
  * words (lo unsigned, hi signed: value = hi * 2^64 + lo).  Functions
  * returning int report 0 on success, -1 when memory runs out and -2 when a
  * value would overflow; a refused fma or load leaves its target unchanged.
+ * sdc_write_json fills a caller's char buffer with whole terms and returns
+ * the bytes it wrote, resuming at the term index the caller passes.
  */
 
 #include <stdint.h>
@@ -65,8 +70,20 @@ typedef struct {
     uint8_t peak[8];
 } sdc_poly;
 
+typedef unsigned __int128 mag_t;
+
 static acc_t join(uint64_t lo, int64_t hi) {
-    return (acc_t)(((unsigned __int128)(uint64_t)hi << 64) | lo);
+    return (acc_t)(((mag_t)(uint64_t)hi << 64) | lo);
+}
+
+/* -2^127, the one value whose negation leaves the range */
+#define VAL_MIN ((acc_t)((mag_t)1 << 127))
+
+static int holds_min(const sdc_poly *p) {
+    int64_t i;
+    for (i = 0; i < p->n; i++)
+        if (p->vals[i] == VAL_MIN) return 1;
+    return 0;
 }
 
 /* Replaces p's terms by the n terms of the arrays, which p then owns;
@@ -351,7 +368,8 @@ static int64_t field_of(int64_t key, int shift) {
 
 /* acc += sign * a * b over the term pairs whose exponents in the byte
  * field at bit shift agree, with that field cleared in their sum, on a
- * scratch table loaded with acc (see sdc_fma).
+ * scratch table loaded with acc (see sdc_fma); the sign goes into b's
+ * values.
  *
  * The terms of b are counting-sorted into buckets by their field, each
  * bucket largest key first and with the field cleared, so each term of a
@@ -379,15 +397,15 @@ static int hash_fma(sdc_poly *acc, const sdc_poly *a, const sdc_poly *b, int sig
         start[e + 1] += start[e];
         fill[e] = start[e];
     }
-    for (i = 0; i < bn; i++) {
+    for (i = 0; i < bn && rc == 0; i++) {
         int64_t f = field_of(b->keys[i], shift), j = fill[f]++;
         bk[j] = b->keys[i] - (f << shift);
-        bv[j] = b->vals[i];
+        if (__builtin_mul_overflow(b->vals[i], (acc_t)sign, &bv[j])) rc = -2;
     }
     for (ia = 0; ia < a->n && rc == 0; ia++) {
         int64_t ka = a->keys[ia], fa = field_of(ka, shift);
         int64_t b0 = start[fa], b1 = start[fa + 1], kn = -1, n0 = 0, n1 = 0;
-        acc_t va = 0, term;
+        acc_t va = a->vals[ia], term;
         if (ia + 1 < a->n) {
             int64_t fn = field_of(a->keys[ia + 1], shift);
             kn = a->keys[ia + 1] - (fn << shift);
@@ -395,10 +413,6 @@ static int hash_fma(sdc_poly *acc, const sdc_poly *a, const sdc_poly *b, int sig
             n1 = start[fn + 1];
         }
         ka -= fa << shift;
-        if (b0 < b1 && __builtin_mul_overflow(a->vals[ia], (acc_t)sign, &va)) {
-            rc = -2;
-            break;
-        }
         for (ib = b0; ib < b1; ib++) {
             int64_t jb = ib + PREFETCH_AHEAD, kp = ka, end = b1;
             if (jb >= b1) {
@@ -680,6 +694,118 @@ done:
 int sdc_fma(sdc_poly *acc, const sdc_poly *a, const sdc_poly *b, int sign, int shift) {
     int rc;
     if (a->n == 0 || b->n == 0) return 0;
+    /* both paths multiply the sign into b's values, which overflows only on
+     * -2^127, so a holding none takes b's place: the pairs are the same
+     * either way round */
+    if (sign < 0 && holds_min(b) && !holds_min(a)) {
+        const sdc_poly *t = a;
+        a = b;
+        b = t;
+    }
     if (shift == 56 && (rc = slab_fma(acc, a, b, sign)) != NOT_SLAB) return rc;
     return hash_fma(acc, a, b, sign, shift);
+}
+
+/* -- JSON text --------------------------------------------------------------- */
+
+/* gcd(a, b), on 64-bit words once both fit one */
+static mag_t gcd_mag(mag_t a, mag_t b) {
+    while (b >> 64 || a >> 64) {
+        mag_t t;
+        if (!b) return a;
+        t = a % b;
+        a = b;
+        b = t;
+    }
+    {
+        uint64_t x = (uint64_t)a, y = (uint64_t)b;
+        while (y) {
+            uint64_t t = x % y;
+            x = y;
+            y = t;
+        }
+        return x;
+    }
+}
+
+/* Writes the decimal digits of v at q; returns the end. */
+static char *put_mag(char *q, mag_t v) {
+    char digits[40];
+    int n = 0;
+    uint64_t w;
+    while (v >> 64) { /* 10^19 is the largest power of ten below 2^64 */
+        uint64_t r = (uint64_t)(v % 10000000000000000000ULL);
+        int i;
+        v /= 10000000000000000000ULL;
+        for (i = 0; i < 19; i++, r /= 10) digits[n++] = (char)('0' + r % 10);
+    }
+    w = (uint64_t)v;
+    do digits[n++] = (char)('0' + w % 10); while (w /= 10);
+    while (n) *q++ = digits[--n];
+    return q;
+}
+
+/* A newline and the indentation of nesting level (2 spaces a level). */
+static char *put_indent(char *q, int64_t level) {
+    *q++ = '\n';
+    memset(q, ' ', (size_t)(2 * level));
+    return q + 2 * level;
+}
+
+/* Writes p's terms from *next on into buf, as many whole terms as cap bytes
+ * surely hold, and moves *next past them; returns the bytes written, 0 when
+ * cap is too small for one term.  The text is that of cli._write_terms for
+ * the polynomial p / den in nvars variables at nesting depth depth, without
+ * the closing bracket: each term "[" (the first) or "," and then, indented
+ * by json.dumps(indent=2), [exponent array of x1..x_nvars, "num", "den"]:
+ * the term's value over den in lowest terms, with a positive "den".  den
+ * (nonzero) crosses as a value does.  Each term is reduced by its own gcd,
+ * taken on magnitudes, so -2^127 in a value or in den is never negated in
+ * the signed type; lowest terms are unique, so any den that gives the
+ * polynomial gives the same text. */
+int64_t sdc_write_json(const sdc_poly *p, uint64_t den_lo, int64_t den_hi, int nvars,
+                       int64_t depth, char *buf, int64_t cap, int64_t *next) {
+    acc_t den = join(den_lo, den_hi);
+    mag_t dmag = den < 0 ? -(mag_t)den : (mag_t)den;
+    /* a term has nvars + 6 lines, each at most an indent of depth + 3 levels
+     * and 43 bytes more ("-, 39 digits and ",), and the comma before it */
+    int64_t most = 1 + (nvars + 6) * (1 + 2 * (depth + 3) + 43);
+    char *q = buf;
+    int64_t i;
+    for (i = *next; i < p->n && (q - buf) + most <= cap; i++) {
+        acc_t c = p->vals[i];
+        mag_t cmag = c < 0 ? -(mag_t)c : (mag_t)c, g = dmag == 1 ? 1 : gcd_mag(cmag, dmag);
+        uint64_t key = (uint64_t)p->keys[i];
+        int v;
+        *q++ = i ? ',' : '[';
+        q = put_indent(q, depth + 1);
+        *q++ = '[';
+        q = put_indent(q, depth + 2);
+        *q++ = '[';
+        for (v = nvars - 1; v >= 0; v--) { /* x1 is the highest field */
+            unsigned e = (unsigned)(key >> 8 * v & 0xFF);
+            q = put_indent(q, depth + 3);
+            if (e >= 100) *q++ = (char)('0' + e / 100);
+            if (e >= 10) *q++ = (char)('0' + e / 10 % 10);
+            *q++ = (char)('0' + e % 10);
+            if (v) *q++ = ',';
+        }
+        q = put_indent(q, depth + 2);
+        *q++ = ']';
+        *q++ = ',';
+        q = put_indent(q, depth + 2);
+        *q++ = '"';
+        if ((c < 0) != (den < 0)) *q++ = '-';
+        q = put_mag(q, cmag / g);
+        *q++ = '"';
+        *q++ = ',';
+        q = put_indent(q, depth + 2);
+        *q++ = '"';
+        q = put_mag(q, dmag / g);
+        *q++ = '"';
+        q = put_indent(q, depth + 1);
+        *q++ = ']';
+    }
+    *next = i;
+    return q - buf;
 }

@@ -17,17 +17,28 @@ vary run to run).  One writer, ``_write_json``, lays every payload out as
 ``json.dumps(indent=2, ensure_ascii=False)`` would and hands the text in
 pieces to a ``write`` callable: the handlers pass that of the ``--out``
 file or of stdout (``_write_payload``), and ``emit_json`` joins the
-pieces into a string.  Handlers pass each polynomial as its ``Poly``, and
-``_write_terms`` writes its terms straight from the stored integers, one
-batch per run of keys that share their high half, so neither a nested
-term list nor the text of a whole polynomial is ever built: each term
-joins the text of the high and the low half of its key's exponent fields
-and of its reduced denominator with its numerator.  With the kernel's
-table freed before the determinant's dict is built, that took the peak
-RSS of ``verify --ell 5 --method certify --format json --include-det``
-(24.35 MB of text) from 130.2 MB to 58.2 MB, lower in 10 of 10 pairs,
-and its time from 0.53 s to 0.44 s (the ``emit-det-r5`` workload, medians
-of 10 alternating pairs on a shared 2-vCPU VM, ``BENCH_pr30.json``).  The
+pieces into a string.  No command builds a nested term list or the text
+of a whole polynomial; ``_write_terms`` writes each polynomial where it
+lies:
+
+  * a determinant as the kernel leaves it (``detkernel.KernelQuotient``:
+    ``verify --include-det`` and ``det`` by minor expansion) on the
+    compiled kernel goes to ``IntPoly.write_terms``: C formats the sorted
+    term arrays into 1 MiB chunks of whole terms, each reduced by its own
+    gcd with the denominator, so no dict, no ``Poly`` and no per-term
+    Python is made;
+  * a ``Poly`` (the basis, Bernoulli polynomials, ``det --algorithm
+    bareiss``), and a determinant on ``DictPoly`` or over a denominator
+    past the C values once made a ``Poly``, is written from its stored
+    integers, one batch per run of keys that share their high half: each
+    term joins the cached text of the high and the low half of its key's
+    exponent fields and of its reduced denominator with its numerator.
+
+The C writer took the ``emit-det-r5`` workload (``verify --ell 5 --method
+certify --format json --include-det`` to a file, 24.35 MB) from 0.322 s
+to 0.085 s, lower in 10 of 10 pairs, and its peak RSS from 58.2 MB to
+31.2 MB (medians of 10 alternating pairs on a shared 2-vCPU VM,
+``BENCH_pr34.json``).  The
 writer does not call ``json.dumps(indent=2)`` on the whole payload
 because CPython's C encoder only runs with ``indent=None``: with any
 indent the pure-Python encoder takes over, and it took about twice as
@@ -51,6 +62,7 @@ from math import gcd
 from typing import Sequence
 
 from .bernoulli import make_bernoulli
+from .detkernel import IntPoly, KernelQuotient, fits_value
 from .exactpoly import Poly, default_names
 from .oracle import PREFIX_CAP, charpoly_count, expected_count, graded_dims
 from .shi_basis import basis
@@ -59,6 +71,7 @@ from .verify import (
     coefficient_matrix,
     lemma_identity_checks,
     minor_expansion_det,
+    minor_expansion_kernel,
     saito_verify,
 )
 
@@ -81,7 +94,7 @@ def emit_json(obj) -> str:
 def _write_json(write, value, depth: int) -> None:
     """Pass value, nested ``depth`` levels deep, to ``write`` in pieces, as
     json.dumps(indent=2) lays it out."""
-    if isinstance(value, Poly):
+    if isinstance(value, (Poly, KernelQuotient)):
         _write_terms(write, value, depth)
     elif isinstance(value, dict) and value:
         inner = "\n" + "  " * (depth + 1)
@@ -102,14 +115,21 @@ def _write_json(write, value, depth: int) -> None:
         write(json.dumps(value, ensure_ascii=False))
 
 
-def _write_terms(write, poly: Poly, depth: int) -> None:
+def _write_terms(write, poly: Poly | KernelQuotient, depth: int) -> None:
     """Pass poly's terms to ``write`` as json.dumps(indent=2) lays out a
     list at nesting depth ``depth``: [exponent array, "num", "den"] in
     descending pure-lex order, integers as decimal strings, each
     coefficient reduced by the gcd of its numerator and the denominator.
-    Written from the stored integers, one batch per run of keys that share
-    their high half, so no term list and no text of the whole polynomial
-    is built."""
+    A ``KernelQuotient`` on ``IntPoly`` whose denominator is a kernel value
+    is formatted by the C kernel (``IntPoly.write_terms``); any other is
+    made a ``Poly`` first.  A ``Poly`` is written from the stored integers,
+    one batch per run of keys that share their high half, so no term list
+    and no text of the whole polynomial is built."""
+    if isinstance(poly, KernelQuotient):
+        if isinstance(poly.terms, IntPoly) and fits_value(poly.den):
+            poly.terms.write_terms(write, poly.den, poly.nvars, depth)
+            return
+        poly = poly.to_poly()
     terms, den, nvars = poly._terms, poly._den, poly.nvars
     if not terms:
         write("[]")
@@ -239,7 +259,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = report.summary_dict(include_timing=args.timings)
         if args.include_det:
-            payload["det_phi"] = report.det_phi
+            payload["det_phi"] = report.det_phi_kernel
         _write_payload(args, payload)
     else:
         lines = [
@@ -264,6 +284,8 @@ def _run_det(args: argparse.Namespace) -> int:
     matrix = coefficient_matrix(basis(args.ell)[1:])[:-1]
     if args.algorithm == "bareiss":
         det = bareiss_det(matrix)
+    elif args.format == "json":
+        det = minor_expansion_kernel(matrix)
     else:
         det = minor_expansion_det(matrix)
     if args.format == "json":

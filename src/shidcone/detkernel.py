@@ -13,7 +13,10 @@ Keys pass between ``Poly`` and the kernel unchanged:
     column under its own denominator, and the product of the denominators;
   * ``det_minor_expansion``: the determinant of kernel rows, and the minor
     that leaves out the last row and the first column;
-  * ``int_product``: the product of a chain of factors.
+  * ``int_product``: the product of a chain of factors;
+  * ``KernelQuotient``: a kernel polynomial over a denominator, as a
+    determinant leaves the kernel, which ``cli`` writes as JSON without
+    making it a ``Poly``.
 
 The last two raise ExponentOverflowError where a packed exponent could
 carry into the next field (``exactpoly.check_field_room``).  Besides the
@@ -21,9 +24,10 @@ determinant, ``verify.check_membership`` sums its hyperplane restrictions
 on the kernel, on ``get_impl()``'s class wherever the ring fits it.  Two
 interchangeable implementations provide the kernel polynomial
 (``IntPolyLike``: ``from_dict``, ``to_dict``, ``take_dict``, ``field_peaks``,
-``nnz``, ``is_zero``, ``fma``, ``lead``; ``fma`` is the one arithmetic
-operation, and two polynomials are compared by subtracting one from the
-other with it and asking ``is_zero``).  ``fma(a, b, sign, field=f)``, with
+``nnz``, ``is_zero``, ``fma``, ``lead``, and on ``IntPoly`` only
+``write_terms``; ``fma`` is the one arithmetic operation, and two
+polynomials are compared by subtracting one from the other with it and
+asking ``is_zero``).  ``fma(a, b, sign, field=f)``, with
 f the bit offset of an exponent field (keyword only), multiplies only the
 term pairs whose exponents in that field agree and clears the field in
 their sum: membership multiplies each x_s^e part of a column by its
@@ -42,7 +46,11 @@ restriction entry in one call.
                    variables.  The C code checks each addition and
                    multiplication where it does it: leaving [-2^127, 2^127)
                    raises OverflowError, nothing wraps, and the refused
-                   ``fma`` leaves its accumulator as it was.
+                   ``fma`` leaves its accumulator as it was.  Its
+                   ``write_terms(write, den, nvars, depth)`` hands
+                   ``write`` the JSON text of self / den, which C formats
+                   from the sorted arrays into a 1 MiB buffer of whole
+                   terms, each reduced by its own gcd with den.
 
 ``IntPoly.fma`` builds the new terms beside the old ones by one of two
 paths.  The plain product of two homogeneous polynomials into an empty
@@ -102,6 +110,7 @@ import ctypes
 import os
 import warnings
 from array import array
+from dataclasses import dataclass
 from ctypes import POINTER, c_int, c_int64, c_uint8, c_uint64, c_void_p
 from itertools import combinations
 from typing import Protocol, Sequence
@@ -225,6 +234,9 @@ _SIGNATURES = {
     "sdc_fma": (c_int, [c_void_p, c_void_p, c_void_p, c_int, c_int]),
     "sdc_lead": (c_int64, [c_void_p, POINTER(c_uint64), _P64]),
     "sdc_peaks": (None, [c_void_p, POINTER(c_uint8)]),
+    "sdc_write_json": (
+        c_int64, [c_void_p, c_uint64, c_int64, c_int, c_int64, c_void_p, c_int64, _P64]
+    ),
 }
 
 
@@ -331,8 +343,13 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
         return None, reason
 
 
+def fits_value(v: int) -> bool:
+    """Whether v lies in ``IntPoly``'s value range [-2^127, 2^127)."""
+    return -_VALUE_LIMIT <= v < _VALUE_LIMIT
+
+
 def _check_value(v: int) -> None:
-    if not -_VALUE_LIMIT <= v < _VALUE_LIMIT:
+    if not fits_value(v):
         raise OverflowError("coefficient outside the kernel's range [-2**127, 2**127)")
 
 
@@ -348,7 +365,9 @@ class IntPoly:
     """Packed-key integer polynomial backed by the sorted C term arrays of
     ``_detkernel.c``.  Values lie in [-2^127, 2^127): loading one outside
     that range, or an ``fma`` whose arithmetic would leave it, raises
-    OverflowError; nothing wraps."""
+    OverflowError; nothing wraps.  The sign of an ``fma`` goes into an
+    operand that holds no -2^127, so only an ``fma`` whose operands both
+    hold -2^127 may refuse a result that fits."""
 
     __slots__ = ("_t",)
 
@@ -445,6 +464,35 @@ class IntPoly:
         key = _lib.sdc_lead(self._t, ctypes.byref(lo), ctypes.byref(hi))
         return None if key < 0 else (key, (hi.value << 64) + lo.value)
 
+    def write_terms(self, write, den: int, nvars: int, depth: int, chunk: int = 1 << 20) -> None:
+        """Pass the terms of self / den, in nvars variables, to ``write`` as
+        ``cli._write_terms`` writes that ``Poly`` at nesting depth ``depth``.
+        The C kernel formats them from its sorted arrays, in chunks of at
+        most ``chunk`` bytes (more if one term needs more) that hold whole
+        terms, each reduced by its own gcd with den; self is left as it
+        is.  den must be a nonzero value of the kernel's range."""
+        if den == 0:
+            raise ZeroDivisionError("denominator is zero")
+        _check_value(den)
+        # the C writer reads nvars of the 8 byte fields of each key
+        if not 0 < nvars <= 8 or FIELD_BITS * nvars <= max(self.field_peaks(), default=0):
+            raise ValueError(f"keys do not fit {nvars} variables")
+        n = _lib.sdc_nnz(self._t)
+        if not n:
+            write("[]")
+            return
+        buf, at = array("B", bytes(chunk)), c_int64(0)
+        while at.value < n:
+            used = _lib.sdc_write_json(
+                self._t, den & _MASK64, den >> 64, nvars, depth,
+                buf.buffer_info()[0], len(buf), ctypes.byref(at),
+            )
+            if used:
+                write(str(memoryview(buf)[:used], "ascii"))
+            else:  # no room for one term
+                buf = array("B", bytes(2 * len(buf)))
+        write("\n" + "  " * depth + "]")
+
 
 _lib, _UNAVAILABLE = _load()
 HAS_FAST_KERNEL = _lib is not None
@@ -495,6 +543,27 @@ def int_dict_to_poly(d: dict[int, int], den: int, nvars: int) -> Poly:
     no zero value, as no backend's ``to_dict`` does): reduced once, with no
     per-term fraction, and d kept as the terms when already reduced."""
     return _reduced(nvars, d, den)
+
+
+@dataclass(frozen=True)
+class KernelQuotient:
+    """``terms / den`` in ``nvars`` variables: a kernel polynomial over a
+    nonzero integer denominator, as a determinant comes out of the kernel
+    before it becomes a ``Poly``.  ``cli._write_terms`` writes it as the
+    ``Poly``; on ``IntPoly`` the C kernel formats the terms."""
+
+    terms: IntPolyLike
+    den: int
+    nvars: int
+
+    def to_poly(self) -> Poly:
+        """The ``Poly``, with ``terms`` left as they are."""
+        return int_dict_to_poly(self.terms.to_dict(), self.den, self.nvars)
+
+    def take_poly(self) -> Poly:
+        """The ``Poly``, leaving ``terms`` zero: their C terms are freed
+        before its dict is built (``take_dict``)."""
+        return int_dict_to_poly(self.terms.take_dict(), self.den, self.nvars)
 
 
 # -- determinant by minor expansion ------------------------------------------

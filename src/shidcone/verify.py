@@ -87,10 +87,10 @@ from .detkernel import (
     KEY_LIMIT,
     DictPoly,
     IntPolyLike,
+    KernelQuotient,
     clear_columns,
     det_minor_expansion,
     get_impl,
-    int_dict_to_poly,
     int_product,
     poly_to_int_dict,
 )
@@ -153,16 +153,14 @@ class VerificationReport:
     _det_data: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
-    def det_phi(self) -> Poly:
-        """The l x l determinant det[phi_j(x_i)] as a polynomial.
+    def det_phi_kernel(self) -> KernelQuotient:
+        """``det_phi`` as the kernel leaves it, a kernel polynomial over a
+        denominator, which the CLI writes without building the ``Poly``.
 
-        Materialized lazily: at large rank this polynomial is enormous
-        (11.8 million terms at l = 6), so it is reconstructed only on
-        access, as one product chain: under ``expand`` the reduced
-        determinant times the factored-out column forms, under ``certify``
-        the certified constant times the forms of Q/z, multiplied out in
-        groups that involve the same x-variables.  The product's table is
-        freed before the ``Poly``'s dict is built (``take_dict``).
+        Built on each access, as one product chain: under ``expand`` the
+        reduced determinant times the factored-out column forms, under
+        ``certify`` the certified constant times the forms of Q/z,
+        multiplied out in groups that involve the same x-variables.
         """
         if self._det_data is None:
             raise ValueError("determinant data unavailable (verification failed early)")
@@ -172,10 +170,20 @@ class VerificationReport:
             terms, fden = poly_to_int_dict(f)
             chain.append(terms)
             den *= fden
-        det = int_product(chain, type(head))
+        return KernelQuotient(int_product(chain, type(head)), den, nvars)
+
+    @property
+    def det_phi(self) -> Poly:
+        """The l x l determinant det[phi_j(x_i)] as a polynomial.
+
+        Materialized lazily: at large rank this polynomial is enormous
+        (11.8 million terms at l = 6), so it is reconstructed from
+        ``det_phi_kernel`` only on access, whose terms are freed before the
+        ``Poly``'s dict is built.
+        """
+        det = self.det_phi_kernel
         # a chain of head alone is head itself, which later accesses reuse
-        terms = det.to_dict() if det is head else det.take_dict()
-        return int_dict_to_poly(terms, den, nvars)
+        return det.to_poly() if det.terms is self._det_data[0] else det.take_poly()
 
     def summary_dict(self, include_timing: bool = False) -> dict:
         """JSON-ready summary with stable field order."""
@@ -262,6 +270,15 @@ def minor_expansion_det(matrix: Sequence[Sequence[Poly]], fast: bool | None = No
     Denominators are cleared per column and divided back out at the end.
     Agrees with bareiss_det everywhere (cross-checked in the test suite).
     """
+    return minor_expansion_kernel(matrix, fast).take_poly()
+
+
+def minor_expansion_kernel(
+    matrix: Sequence[Sequence[Poly]], fast: bool | None = None
+) -> KernelQuotient:
+    """``minor_expansion_det`` as the kernel leaves it: the integer
+    determinant of the cleared columns over the product of their
+    denominators."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
@@ -270,7 +287,7 @@ def minor_expansion_det(matrix: Sequence[Sequence[Poly]], fast: bool | None = No
     impl = get_impl(fast)
     rows, den = clear_columns(list(zip(*matrix)), impl)
     det, _ = det_minor_expansion(rows, impl)
-    return int_dict_to_poly(det.take_dict(), den, matrix[0][0].nvars)
+    return KernelQuotient(det, den, matrix[0][0].nvars)
 
 
 # -- membership --------------------------------------------------------------

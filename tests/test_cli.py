@@ -5,13 +5,15 @@ import tracemalloc
 
 import pytest
 
-from shidcone import cli
+from shidcone import cli, detkernel
 from shidcone.cli import main
+from shidcone.detkernel import IntPoly
 from shidcone.shi_basis import derivation_from_dict
 from shidcone.verify import saito_verify
 
 
 _EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+_EMIT_DET_R5_SHA256 = "967f1aec00575ed067d1f1fbe3245ccbcb9112ae29fb4dd5062c9d4c8b66dd2a"
 
 
 def invoke(capsys, *argv):
@@ -336,6 +338,48 @@ def test_json_is_streamed_to_the_output(tmp_path):
     size = path.stat().st_size
     assert path.read_text() == cli.emit_json(payload)
     assert peak < size / 4, (peak, size)
+
+
+@pytest.mark.skipif(not detkernel.HAS_FAST_KERNEL, reason="compiled kernel only")
+def test_kernel_json_is_streamed_to_the_output(tmp_path):
+    # the determinant as the kernel leaves it goes out as C-formatted chunks
+    # of whole terms: the traced peak stays below a quarter of the file, and
+    # the bytes are those of `verify --ell 5 --method certify --format json
+    # --include-det` (24,351,117 bytes, 201,865 terms)
+    report = saito_verify(5, method="certify")
+    payload = report.summary_dict()
+    payload["det_phi"] = report.det_phi_kernel
+    assert isinstance(payload["det_phi"].terms, IntPoly)
+    path = tmp_path / "det.json"
+    tracemalloc.start()
+    try:
+        cli._write_payload(argparse.Namespace(out=str(path)), payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _EMIT_DET_R5_SHA256
+    assert peak < len(data) / 4, (peak, len(data))
+    # writing leaves the kernel's terms as they were
+    assert payload["det_phi"].terms.nnz() == 201865 == len(report.det_phi)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"verify --ell {ell} --method {method} --include-det" for ell in (3, 4)
+        for method in ("expand", "certify")
+    ] + ["det --ell 3", "det --ell 4"],
+)
+def test_kernel_json_is_the_same_on_the_pure_python_kernel(capsys, monkeypatch, argv):
+    # the C writer on IntPoly and the Python loop on DictPoly
+    command, _, ell, *rest = argv.split()
+    key = (command, rest[1] if rest else None, int(ell))
+    for fast in {detkernel.HAS_FAST_KERNEL, False}:
+        monkeypatch.setattr(detkernel, "HAS_FAST_KERNEL", fast)
+        status, out, _ = invoke(capsys, *argv.split(), "--format", "json")
+        assert status == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _KERNEL_JSON_SHA256[key]
 
 
 def test_crash_while_streaming_exits_3_and_leaves_a_truncated_file(tmp_path, capsys, monkeypatch):

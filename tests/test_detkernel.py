@@ -125,6 +125,22 @@ def check_dumps(impl):
     return got
 
 
+def check_json(impl):
+    """``write_terms`` of the compiled kernel ``impl`` at the range ends of
+    the values and of the denominator, against the ``Poly`` writer (a
+    function, so that a sanitizer build can run it): the C writer reduces
+    on magnitudes, so it never negates -2**127."""
+    from shidcone import cli
+
+    for den in (1, -1, 3, 2**63 - 1, 2**127 - 1, -(2**127)):
+        poly = int_dict_to_poly(dict(_DUMPED), den, 3)
+        for depth in (0, 2):
+            got, expected = [], []
+            impl.from_dict(_DUMPED).write_terms(got.append, den, 3, depth)
+            cli._write_terms(expected.append, poly, depth)
+            assert "".join(got) == "".join(expected), (den, depth)
+
+
 def test_backend_dumps_at_the_range_ends():
     for impl in {DictPoly, get_impl()}:
         got = check_dumps(impl)
@@ -626,6 +642,15 @@ _SLAB_OVERFLOWS = [
     ({_SLAB_OTHER_DEGREE_257: 1}, {_SLAB_A: 1}, {_SLAB_B: -(2**127)}, -1),
 ]
 
+# -1 * -1 * -2^127 fits, whichever operand holds -2^127: the sign goes into
+# the other one, on the slab path (acc empty) and on the hash path (acc of
+# degree 1, not the products' 257)
+_SIGN_FITS = [
+    (acc, a, b, -1)
+    for acc in ({}, {1: 1})
+    for a, b in [({_SLAB_A: -1}, {_SLAB_B: -(2**127)}), ({_SLAB_A: -(2**127)}, {_SLAB_B: -1})]
+]
+
 
 def _fma(impl, acc, a, b, sign, field=None):
     out = impl.from_dict(acc)
@@ -638,10 +663,12 @@ def check_range_ends(impl):
     kernel ``impl``, without and with a field (a function, so that a
     sanitizer build can run it).  A refused fma leaves its accumulator as
     it was."""
-    plain = _FMA_FITS + _SLAB_FITS
+    plain = _FMA_FITS + _SLAB_FITS + _SIGN_FITS
     for operands, field in [(o, None) for o in plain] + [(o, 8) for o in _FIELD_FITS]:
         got = _fma(impl, *operands, field=field).to_dict()
         assert got == _fma(DictPoly, *operands, field=field).to_dict()
+    for operands in _SIGN_FITS:
+        assert _fma(impl, *operands).to_dict()[_SLAB_KEY] == -(2**127)
     assert _fma(impl, *_FIELD_FITS[0], field=8).to_dict() == {1: -1}
     assert _fma(impl, *_SLAB_FITS[0]).to_dict()[_SLAB_KEY] == 2**127 - 1
     assert _fma(impl, *_SLAB_FITS[1]).to_dict()[_SLAB_KEY] == -(2**127)
@@ -665,6 +692,11 @@ def test_fma_at_the_range_ends(operands):
 @_COMPILED
 def test_compiled_kernel_refuses_past_the_range_ends():
     check_range_ends(get_impl(fast=True))
+
+
+@_COMPILED
+def test_compiled_json_at_the_range_ends():
+    check_json(get_impl(fast=True))
 
 
 @_COMPILED
@@ -818,12 +850,17 @@ except (OSError, detkernel._BuildError) as exc:
     sys.exit(77)
 sys.path.insert(0, sys.argv[2])
 import test_detkernel
+from shidcone import cli
 from shidcone.verify import saito_verify
 
 test_detkernel.check_range_ends(detkernel.IntPoly)
 test_detkernel.check_dumps(detkernel.IntPoly)
+test_detkernel.check_json(detkernel.IntPoly)
 assert saito_verify(3, method="expand").saito_ok
 assert saito_verify(3, method="certify").det_phi
+out = sys.argv[1] + "/det.json"
+argv = ["verify", "--ell", "3", "--format", "json", "--include-det", "--out", out]
+assert cli.main(argv) == 0 and '"det_phi": [' in open(out).read()
 """
 
 
@@ -842,3 +879,18 @@ def test_kernel_under_the_undefined_behaviour_sanitizer(tmp_path):
         pytest.skip(f"no sanitizer build of the kernel: {proc.stdout.strip()}")
     assert "runtime error" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
+
+
+@_COMPILED
+def test_compiled_json_refuses_what_it_cannot_write():
+    p = get_impl(fast=True).from_dict({_pack((1, 2)): 3})
+    with pytest.raises(ZeroDivisionError):
+        p.write_terms(print, 0, 2, 0)
+    with pytest.raises(OverflowError):
+        p.write_terms(print, 2**127, 2, 0)
+    # x1 sits in field 1, past the one field of a single variable
+    with pytest.raises(ValueError, match="1 variables"):
+        p.write_terms(print, 1, 1, 0)
+    out = []
+    get_impl(fast=True).from_dict({}).write_terms(out.append, 1, 2, 3)
+    assert out == ["[]"]

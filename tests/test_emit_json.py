@@ -2,7 +2,9 @@
 
 The reference is ``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``,
 applied to the same payload with each ``Poly`` replaced by its
-``poly_terms_json`` term list.
+``poly_terms_json`` term list.  A ``KernelQuotient`` is written as its
+``Poly``: on the compiled kernel by the C writer, which must give the bytes
+of the Python loop.
 """
 
 import json
@@ -12,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shidcone import cli
 from shidcone.cli import emit_json
-from shidcone.exactpoly import FIELD_MASK, Poly
+from shidcone.detkernel import HAS_FAST_KERNEL, IntPoly, KernelQuotient, int_dict_to_poly
+from shidcone.exactpoly import FIELD_MASK, Poly, _pack
 
 
 def reference(obj) -> str:
@@ -117,3 +121,52 @@ def test_non_string_keys_are_refused():
     # json.dumps would turn 1 into "1"; no payload has such a key
     with pytest.raises(TypeError):
         emit_json({1: True})
+
+
+# -(2**127) and 2**127 - 1 are the ends of the compiled kernel's values
+_ENDS = st.sampled_from((1, -1, 2**127 - 1, -(2**127)))
+_VALUES = _ENDS | st.integers(-(2**127), 2**127 - 1).filter(bool)
+# a denominator that shares a factor with every coefficient: 6 divides each
+# coefficient but -2**127, which 2 divides
+_SHARED = 2**60 * 3**30
+_SHARING = st.integers(-(2**124), 2**124).filter(bool).map(lambda c: 6 * c) | st.just(-(2**127))
+
+
+@st.composite
+def kernel_terms(draw):
+    """(terms, den, nvars): 1 to 7 variables, exponents 0..255."""
+    nvars = draw(st.integers(1, 7))
+    den = draw(st.sampled_from((1, -1, 1_000_003, -105, 2**63 - 1, _SHARED)))
+    keys = st.tuples(*[st.integers(0, FIELD_MASK)] * nvars).map(_pack)
+    values = _SHARING if den == _SHARED else _VALUES
+    return draw(st.dictionaries(keys, values, min_size=1, max_size=8)), den, nvars
+
+
+@pytest.mark.skipif(not HAS_FAST_KERNEL, reason="compiled kernel only")
+@settings(max_examples=200, deadline=None)
+@given(kernel_terms(), st.integers(0, 3), st.integers(1, 1200))
+def test_c_writer_writes_what_the_python_loop_writes(operands, depth, chunk):
+    # chunks of at most ``chunk`` bytes, the buffer grown when one term does
+    # not fit: each chunk ends at a term's closing bracket
+    terms, den, nvars = operands
+    expected = []
+    cli._write_terms(expected.append, int_dict_to_poly(terms, den, nvars), depth)
+    got = []
+    IntPoly.from_dict(terms).write_terms(got.append, den, nvars, depth, chunk=chunk)
+    assert "".join(got) == "".join(expected)
+    *chunks, closing = got
+    assert closing == "\n" + "  " * depth + "]"
+    assert all(piece.endswith("\n" + "  " * (depth + 1) + "]") for piece in chunks)
+
+
+@pytest.mark.skipif(not HAS_FAST_KERNEL, reason="compiled kernel only")
+@pytest.mark.parametrize("den", [2**127, -(2**127) - 1, 3**200])
+def test_den_past_the_kernel_values_takes_the_python_loop(monkeypatch, den):
+    terms = {_pack((2, 1)): -(2**127), _pack((0, 3)): 3**80}
+    expected = emit_json([int_dict_to_poly(terms, den, 2)])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the C writer holds no such denominator")
+
+    monkeypatch.setattr(IntPoly, "write_terms", refused)
+    assert emit_json([KernelQuotient(IntPoly.from_dict(terms), den, 2)]) == expected
