@@ -12,7 +12,12 @@ Two families of checks:
   (which changes neither its span nor the rank), and rows are kept
   primitive, with their content divided out, so that entries stay small.
   No residue-class shortcut is taken: a rank modulo p can fall below the
-  rank over Q, so it would only bound the dimension;
+  rank over Q, so it would only bound the dimension.  The system is split
+  instead, exactly: a sign flip x_t -> -x_t that maps the arrangement onto
+  itself maps each graded piece onto itself and acts on the unknowns by
+  +-1, so the piece is the direct sum of its parts of each parity, and
+  each part is eliminated on its own (``_nullity``).  For the Shi cone the
+  flip is x_l's;
 
 * point counts over small finite fields: the number of points of F_q^(l+1)
   avoiding every hyperplane must be (q-1) * (q-h)^l, consistent with the
@@ -150,13 +155,77 @@ def _membership_rows(arr: Arrangement, d: int) -> tuple[int, Iterator[dict[int, 
     return n_unknowns, rows()
 
 
+def _sign_flips(arr: Arrangement) -> list[int]:
+    """The coordinates t whose sign flip x_t -> -x_t maps the primitive
+    normals of ``arr`` onto themselves, each image taken with a positive
+    lead: [l - 1], that is x_l, for ``shi_d_cone(l)``."""
+    normals = {form.coeffs for form in arr.forms}
+    flips = []
+    for t in range(arr.nvars):
+        for c in normals:
+            image = c[:t] + (-c[t],) + c[t + 1 :]
+            if next(a for a in image if a) < 0:
+                image = tuple(-a for a in image)
+            if image not in normals:
+                break
+        else:
+            flips.append(t)
+    return flips
+
+
+def _nullity(arr: Arrangement, d: int) -> int:
+    """Nullity of ``_membership_rows(arr, d)``, one block of unknowns at a
+    time.
+
+    A row with a single nonzero entry pins its unknown to 0; the unknown is
+    removed from every other row, which leaves the nullity unchanged.  The
+    other rows are split by the parity of their unknowns under the sign
+    flips of ``_sign_flips(arr)``: unknown (v, m) has parity
+    (m_t + [v == t]) mod 2 under the flip of x_t, and the key of a block is
+    its parities under all the flips.  Each block is eliminated on its own,
+    and the nullity is the number of unknowns less the pinned ones and the
+    block ranks.  This is exact.  A flip g with gA = A maps the degree-d
+    piece of D(A) onto itself (Orlik-Terao, ch. 4), and it multiplies each
+    unknown by +-1 by its parity, so the piece is the direct sum of its
+    intersections with the blocks.  Each intersection is the kernel of the
+    system restricted to that block's columns, so the nullity is the sum
+    of the block nullities.  Conversely, for any matrix the rank is at most
+    the sum of the block ranks, so a flip claimed wrongly could only
+    understate a dimension; that is why the flips are read from the forms
+    on every call.
+    """
+    n_unknowns, rows = _membership_rows(arr, d)
+    flips = _sign_flips(arr)
+    key = [
+        sum((m[t] + (v == t)) % 2 << i for i, t in enumerate(flips))
+        for v in range(arr.nvars)
+        for m in monomials_of_degree(arr.nvars, d)
+    ]
+    fixed: set[int] = set()
+    blocks: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        parts: dict[int, dict[int, int]] = {}
+        for u, c in row.items():
+            if c:
+                parts.setdefault(key[u], {})[u] = c
+        for k, part in parts.items():
+            blocks.setdefault(k, []).append(part)
+        if len(parts) == 1 and len(part) == 1:  # one nonzero entry
+            fixed.update(part)
+    # the pinned unknowns leave every row, their own rows included
+    for block in blocks.values():
+        for part in block:
+            for u in fixed.intersection(part):
+                del part[u]
+    return n_unknowns - len(fixed) - sum(map(_sparse_rank, blocks.values()))
+
+
 def derivation_dim(ell: int, d: int) -> int:
     """Dimension of the space of derivations with homogeneous degree-d
     coefficients preserving every hyperplane, by exact linear algebra."""
     if ell < 2 or d < 0:
         raise ValueError("require ell >= 2 and d >= 0")
-    n_unknowns, rows = _membership_rows(shi_d_cone(ell), d)
-    return n_unknowns - _sparse_rank(rows)
+    return _nullity(shi_d_cone(ell), d)
 
 
 def graded_dims(ell: int, max_degree: int) -> list[GradedDimReport]:

@@ -318,16 +318,19 @@ def check_membership(theta: Derivation, arr: Arrangement) -> dict[str, bool]:
     """
     if arr.ell != theta.ell:
         raise ValueError("arrangement and derivation have different ranks")
-    impl = get_impl()
-    if 1 << FIELD_BITS * theta.nvars > KEY_LIMIT:
-        # keys of this ring can pass KEY_LIMIT, the compiled kernel's bound
-        impl = DictPoly
     try:
-        return _restriction_sums(theta, arr, impl)
+        return _restriction_sums(theta, arr, _ring_impl(theta.nvars))
     except ExponentOverflowError:
         raise
     except OverflowError:
         return _restriction_sums(theta, arr, DictPoly)
+
+
+def _ring_impl(nvars: int):
+    """The kernel polynomial of ``get_impl()`` if every key of a ring in
+    ``nvars`` variables stays below KEY_LIMIT, the compiled kernel's bound
+    (ranks up to 6), and ``DictPoly`` otherwise."""
+    return DictPoly if 1 << FIELD_BITS * nvars > KEY_LIMIT else get_impl()
 
 
 def _restriction_sums(theta: Derivation, arr: Arrangement, impl) -> dict[str, bool]:
@@ -590,13 +593,13 @@ def _det_certify(
     # involve the same x-variables (for the Shi cone the four forms of each
     # pair s < t), in order of first appearance: the chain of det_phi then
     # pairs 890,533 terms at rank 5, against 3,234,191 one form at a time.
-    # Key 0 is the constant monomial, and nothing here limits nvars, since
-    # det_phi is only built on access.
+    # Key 0 is the constant monomial; the head is on the kernel that the
+    # ring's keys fit, so det_phi builds from rank 7 up on DictPoly.
     groups: dict[tuple[int, ...], Poly] = {}
     for form, fp in zip(arr.forms[1:], forms):
         xs = tuple(i for i, c in enumerate(form.coeffs[:ell]) if c)
         groups[xs] = groups[xs] * fp if xs in groups else fp
-    head = get_impl().from_dict({0: constant.numerator})
+    head = _ring_impl(ell + 1).from_dict({0: constant.numerator})
     return True, True, constant, (head, constant.denominator, list(groups.values()), ell + 1)
 
 

@@ -5,9 +5,9 @@ import tracemalloc
 
 import pytest
 
-from shidcone import cli, detkernel
+from shidcone import cli, detkernel, verify
 from shidcone.cli import main
-from shidcone.detkernel import IntPoly
+from shidcone.detkernel import DictPoly, IntPoly
 from shidcone.shi_basis import derivation_from_dict
 from shidcone.verify import saito_verify
 
@@ -453,6 +453,20 @@ def test_kernel_json_is_pinned(capsys, command, method, ell):
     assert status == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == _KERNEL_JSON_SHA256[(command, method, ell)]
+
+
+def test_certify_det_past_the_key_limit_is_on_dictpoly(capsys, monkeypatch):
+    # a ring whose keys can pass KEY_LIMIT (rank 7 up) holds the certified
+    # determinant's head on DictPoly; a lowered limit sends rank 3 there,
+    # and the JSON stays byte for byte the same
+    assert type(saito_verify(3, method="certify")._det_data[0]) is detkernel.get_impl()
+    monkeypatch.setattr(verify, "KEY_LIMIT", 1 << 8)
+    assert type(saito_verify(3, method="certify")._det_data[0]) is DictPoly
+    argv = "verify --ell 3 --method certify --include-det --format json".split()
+    status, out, _ = invoke(capsys, *argv)
+    assert status == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == _KERNEL_JSON_SHA256[("verify", "certify", 3)]
 
 
 def test_json_commands_are_pinned(capsys):

@@ -13,8 +13,10 @@ from shidcone.arrangement import Arrangement, LinearForm, shi_d_cone
 from shidcone.oracle import (
     _derivation_vector,
     _membership_rows,
+    _nullity,
     _pivot_rows,
     _search_slice,
+    _sign_flips,
     _sparse_rank,
     basis_span_rank_at_h,
     charpoly_count,
@@ -296,3 +298,93 @@ def test_derivation_dim_reads_the_forms(mutant, ell, degree, dim):
         dims.append(n_unknowns - _sparse_rank(rows))
     first = next(d for d, n in enumerate(dims) if n != expected_dim(ell, d))
     assert (first, dims[first]) == (degree, dim)
+
+
+@pytest.mark.parametrize(
+    "mutant,ell,flips,degree,dim",
+    [
+        (_drop_first_shifted_form, 2, [], 1, 2),
+        (_drop_first_shifted_form, 3, [2], 5, 48),
+        (_add_form, 2, [], 2, 4),
+        (_add_form, 3, [2], 4, 22),
+    ],
+)
+def test_nullity_reads_the_forms(mutant, ell, flips, degree, dim):
+    # the mutants through the block split: at ell = 2 each breaks the flip
+    # of x2, so the unknowns are one block; at ell = 3 neither touches x3,
+    # so the system is eliminated by parity
+    arr = mutant(ell)
+    assert _sign_flips(arr) == flips
+    dims = [_nullity(arr, d) for d in range(2 * ell + 1)]
+    first = next(d for d, n in enumerate(dims) if n != expected_dim(ell, d))
+    assert (first, dims[first]) == (degree, dim)
+
+
+@pytest.mark.parametrize("ell", range(2, 7))
+def test_sign_flips_of_the_shi_cone(ell):
+    assert _sign_flips(shi_d_cone(ell)) == [ell - 1]
+
+
+@pytest.mark.parametrize("ell,max_degree", [(2, 4), (3, 6), (4, 4)])
+def test_nullity_by_blocks_is_the_nullity_of_the_whole_system(ell, max_degree):
+    arr = shi_d_cone(ell)
+    for d in range(max_degree + 1):
+        n_unknowns, rows = _membership_rows(arr, d)
+        assert _nullity(arr, d) == n_unknowns - _sparse_rank(rows) == expected_dim(ell, d)
+
+
+def test_nullity_pins_no_unknown_by_a_zero_entry(monkeypatch):
+    # _membership_rows stores no zero entry (each is one product of nonzero
+    # integers), so zeros are put in here: one in every row, and the zero
+    # row {0: 0}, whose unknown, c_{x1, x1^d}, is free in the Euler field
+    real = oracle._membership_rows
+
+    def padded(arr, d):
+        n_unknowns, rows = real(arr, d)
+
+        def gen():
+            yield {0: 0}
+            for row in rows:
+                yield {**row, next(u for u in range(n_unknowns) if u not in row): 0}
+
+        return n_unknowns, gen()
+
+    monkeypatch.setattr(oracle, "_membership_rows", padded)
+    assert [_nullity(shi_d_cone(3), d) for d in range(7)] == [expected_dim(3, d) for d in range(7)]
+
+
+def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    g = gcd(*coeffs)
+    if next(c for c in coeffs if c) < 0:
+        g = -g
+    return tuple(c // g for c in coeffs)
+
+
+@st.composite
+def _small_arrangements(draw):
+    """(t, closed, arrangement) in 3 or 4 variables: normals with entries in
+    -2..2, one of them a x_i - a x_j, and when ``closed`` also their images
+    under the flip of coordinate t."""
+    nvars = draw(st.sampled_from([3, 4]))
+    entries = st.tuples(*[st.integers(-2, 2)] * nvars).filter(any)
+    normals = draw(st.lists(entries, min_size=1, max_size=5))
+    i, j = draw(st.lists(st.integers(0, nvars - 1), min_size=2, max_size=2, unique=True))
+    a = draw(st.integers(1, 2))
+    normals.append(tuple(a if k == i else -a if k == j else 0 for k in range(nvars)))
+    t = draw(st.integers(0, nvars - 1))
+    closed = draw(st.booleans())
+    if closed:
+        normals += [c[:t] + (-c[t],) + c[t + 1 :] for c in normals]
+    forms = tuple(LinearForm(c) for c in sorted({_primitive(c) for c in normals}))
+    return t, closed, Arrangement(nvars - 1, forms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_arrangements())
+def test_nullity_of_small_arrangements_matches_whole_elimination(case):
+    t, closed, arr = case
+    if closed:
+        assert t in _sign_flips(arr)
+    for d in range(4):
+        n_unknowns, rows = _membership_rows(arr, d)
+        assert _nullity(arr, d) == n_unknowns - _sparse_rank(rows)
