@@ -2,37 +2,46 @@
  *
  * A polynomial is its nonzero terms in two arrays sorted largest key first:
  * packed monomial keys (int64, at most 56 bits used, one byte per exponent
- * field, field 0 the lowest) and 128-bit signed values.  The one
- * arithmetic operation is the fused multiply-accumulate that the
- * determinant verification is hot on; two polynomials are compared by an
- * fma that must cancel.  The fma can pair the terms by one exponent field,
- * multiplying only the pairs whose exponents there agree and clearing the
- * field in their sum, which restricts a column to a hyperplane in one call;
- * the plain product is the pairing by a field past every key's fields.
- * All arithmetic is exact: each addition and multiplication of values is
- * checked where it happens, and one that would leave the signed 128-bit
- * range is refused, never wrapped.  The sign of an fma is multiplied into
- * the values of an operand that holds no -2^127 where one does not, so only
- * an fma whose operands both hold -2^127 may refuse a result that fits.
- * The Python wrapper (detkernel.IntPoly) validates keys and loaded values.
- * The term count, the lead term, a dump and the JSON text of the terms
- * (sdc_write_json) read the arrays as they are, and a polynomial carries
- * its degree and a bound on each field's exponents, set with its terms.
+ * field, field 0 the lowest) and 128-bit signed values.  The arithmetic is
+ * the fused multiply-accumulate that the determinant verification is hot
+ * on, of one product or of a sum of products; two polynomials are compared
+ * by an fma that must cancel.  The fma can pair the terms by one exponent
+ * field, multiplying only the pairs whose exponents there agree and
+ * clearing the field in their sum, which restricts a column to a hyperplane
+ * in one call; the plain product is the pairing by a field past every key's
+ * fields.  All arithmetic is exact: each addition and multiplication of
+ * values is checked where it happens, or proven by the bound below to fit
+ * int64, and one that would leave the signed 128-bit range is refused,
+ * never wrapped.  The sign of an fma is multiplied into the values of an
+ * operand that holds no -2^127 where one does not, so only an fma whose
+ * operands both hold -2^127, or a sum whose partial sums leave the range,
+ * may refuse a result that fits.  The Python wrapper (detkernel.IntPoly)
+ * validates keys and loaded values.  The term count, the lead term, a dump
+ * and the JSON text of the terms (sdc_write_json) read the arrays as they
+ * are, and a polynomial carries its degree, a bound on each field's
+ * exponents and the largest magnitude of its values, set with its terms.
  *
  * An fma builds the new terms of acc beside the old ones, by one of two
  * paths, and swaps them in only when it succeeds:
  *
- * - The slab path, for the plain product of two homogeneous polynomials
- *   into an accumulator that is empty or of their summed degree, when no
- *   exponent of a sum can pass 255.  Field 0 of a result term is then
- *   implied by the degree, and the other fields of the results lie in a box
- *   of (peak + 1) values each, where ka + kb is the sum of dense indices.
- *   The low fields index a slab of at most SLAB values, which fits one
- *   core's L2; the high fields name the slab.  The slabs that products
- *   reach are filled from the top key down, each by one checked multiply-
- *   add per product into the zeroed slab, with acc's terms of that slab
- *   loaded first, and each is read out in key order and zeroed again: the
- *   new terms come out sorted, and no two keys are ever compared.
+ * - The slab path, for a sum of plain products of homogeneous polynomials,
+ *   all of one degree, into an accumulator that is empty or of that
+ *   degree, when no exponent of a sum can pass 255 (sdc_fma_sum; sdc_fma
+ *   is its one-product case).  Field 0 of a result term is then implied by
+ *   the degree, and the other fields of the results lie in a box of
+ *   (peak + 1) values each, where ka + kb is the sum of dense indices.  The
+ *   low fields index a slab of at most SLAB values, which fits one core's
+ *   L2; the high fields name the slab.  The run pairs of all the products
+ *   are sorted together by the slab they reach, and the slabs are filled
+ *   from the top key down, each by one multiply-add per term pair into the
+ *   zeroed slab, with acc's terms of that slab loaded first, and each is
+ *   read out once in key order and zeroed again: the new terms come out
+ *   sorted, and no two keys are ever compared.  When max|acc| + the sum of
+ *   min(nnz a, nnz b) * max|a| * max|b| over the products is below 2^63,
+ *   which bounds every partial sum of every result term in any order, the
+ *   slab holds int64 values and the multiply-adds are not checked;
+ *   otherwise it holds 128-bit values and each is checked.  The output is
+ *   reserved once, for the most terms the slabs can leave.
  * - The hash path, for every other fma: acc is loaded into a scratch open-
  *   addressing table, the products are added there, and the table's
  *   nonzero terms are sorted back.  A key lives at the slot given by the
@@ -43,7 +52,8 @@
  *   h(b)) fills the table in nearly sorted slot order, one long probe run.
  *   Spread at random, the sums miss the cache on almost every insert, so
  *   the loop prefetches the home slot of the sum PREFETCH_AHEAD inserts
- *   ahead.
+ *   ahead.  A sum of products that the slab path does not take runs one
+ *   fma after another on a copy of acc.
  *
  * The ABI is flat so that ctypes can call it: polynomials are opaque
  * pointers, keys are int64, and a 128-bit value crosses as a pair of 64-bit
@@ -60,39 +70,41 @@
 
 typedef __int128 acc_t;
 
+typedef unsigned __int128 mag_t;
+
 typedef struct {
     int64_t *keys; /* strictly decreasing */
     acc_t *vals;   /* none of them zero */
     int64_t n;
+    mag_t mag;     /* the largest magnitude of the values, 0 for none */
     /* the degree all terms share (-1 when they do not, or there are none)
      * and, in each byte field, a bound on the exponents: set with the terms */
     int deg;
     uint8_t peak[8];
 } sdc_poly;
 
-typedef unsigned __int128 mag_t;
-
 static acc_t join(uint64_t lo, int64_t hi) {
     return (acc_t)(((mag_t)(uint64_t)hi << 64) | lo);
 }
 
-/* -2^127, the one value whose negation leaves the range */
-#define VAL_MIN ((acc_t)((mag_t)1 << 127))
+/* 2^127, the magnitude of -2^127, the one value whose negation leaves the
+ * range */
+#define MAG_MIN ((mag_t)1 << 127)
 
-static int holds_min(const sdc_poly *p) {
-    int64_t i;
-    for (i = 0; i < p->n; i++)
-        if (p->vals[i] == VAL_MIN) return 1;
-    return 0;
-}
-
-/* Replaces p's terms by the n terms of the arrays, which p then owns;
- * the caller sets p->deg and p->peak. */
+/* Replaces p's terms by the n terms of the arrays, which p then owns, and
+ * sets p->mag from them, while they are fresh in the cache (an fma only
+ * reads its operands); the caller sets p->deg and p->peak. */
 static void poly_set(sdc_poly *p, int64_t *keys, acc_t *vals, int64_t n) {
+    int64_t i;
     free(p->keys); free(p->vals);
     p->keys = keys;
     p->vals = vals;
     p->n = n;
+    p->mag = 0;
+    for (i = 0; i < n; i++) {
+        mag_t m = vals[i] < 0 ? -(mag_t)vals[i] : (mag_t)vals[i];
+        if (m > p->mag) p->mag = m;
+    }
 }
 
 /* The largest exponent in each byte field of p's keys to peaks[f] (f = 0
@@ -445,16 +457,18 @@ static int hash_fma(sdc_poly *acc, const sdc_poly *a, const sdc_poly *b, int sig
 #define NOT_SLAB 1
 
 /* One slab per thread, allocated on first use and kept; it is all zero
- * between calls, and its pages that no slab has reached stay untouched. */
+ * between calls, and its pages that no slab has reached stay untouched.  A
+ * pass whose sums provably fit int64 reads its first half as SLAB int64
+ * values. */
 static __thread acc_t *slab;
 
-/* Where the results of one slab-path fma lie: field f >= 1 of a key adds
- * its exponent times lo_w[f] to the key's offset in its slab and times
- * hi_w[f] to its slab number.  Fields 1..s have lo_w nonzero, s + 1..m
- * hi_w, both counting mixed-radix in radix[f] = (peak + 1) with the lowest
- * field least significant, so a sum of two keys whose exponents stay below
- * their radix has the summed offset and slab number, and a larger key has
- * the larger pair. */
+/* Where the results of one slab pass lie: field f >= 1 of a key adds its
+ * exponent times lo_w[f] to the key's offset in its slab and times hi_w[f]
+ * to its slab number.  Fields 1..s have lo_w nonzero, s + 1..m hi_w, both
+ * counting mixed-radix in radix[f] = (peak + 1) with the lowest field least
+ * significant, so a sum of two keys whose exponents stay below their radix
+ * has the summed offset and slab number, and a larger key has the larger
+ * pair. */
 typedef struct {
     int64_t lo_w[8], hi_w[8], radix[8];
     int s, m;
@@ -465,10 +479,21 @@ typedef struct {
     int64_t hi, start, end;
 } run_t;
 
-/* Two runs whose products fill offsets bot..top of slab hi. */
+/* One product sign * a * b of a pass, with the offsets of a's and b's terms
+ * in their slabs and their runs of one slab. */
+typedef struct {
+    const sdc_poly *a, *b;
+    int sign;
+    int32_t *alo, *blo;
+    run_t *ra, *rb;
+    int64_t na, nb;
+} prod_t;
+
+/* Run ra of product k's a and run rb of its b, whose products fill offsets
+ * bot..top of slab hi. */
 typedef struct {
     int64_t hi;
-    int32_t ra, rb, top, bot;
+    int32_t k, ra, rb, top, bot;
 } pair_t;
 
 static void place(const box_t *x, int64_t key, int64_t *lo, int64_t *hi) {
@@ -506,17 +531,20 @@ static int by_slab_down(const void *p, const void *q) {
 }
 
 /* Appends the nonzero values of slab[bot..top] to o, from the top down,
- * zeroing each; their keys have degree deg and the high fields of slab
- * number hi, and o has room for top - bot + 1 more terms.  The offsets
- * are read a row at a time, a row the values of field 1 with the fields
- * above fixed, and only up to the exponent of field 1 that leaves field 0
- * a nonnegative rest of the degree: the offsets above are never reached.
- * Every value read is written out and counted only when nonzero, with no
- * branch on it. */
-static void read_slab(const box_t *x, int64_t hi, int64_t top, int64_t bot, int deg, terms_t *o) {
-    int64_t d[8] = {0}, key = 0, r1 = x->radix[1], row = top - top % r1, n = o->n;
-    int64_t *keys = o->keys; /* locals: a store to o->keys[n] could change o->n */
-    acc_t *vals = o->vals;
+ * zeroing each, and returns o's new term count; the slab holds int64 values
+ * where narrow is set.  Their keys have degree deg and the high fields of
+ * slab number hi.  The offsets are read a row at a time, a row the values
+ * of field 1 with the fields above fixed, and only up to the exponent of
+ * field 1 that leaves field 0 a nonnegative rest of the degree: the offsets
+ * above are never reached, and no term of degree deg lies there.  Every
+ * value read is written out and counted only when nonzero, with no branch
+ * on it, so o needs room for one term more than it ends with.  With o NULL
+ * nothing is read, and the count is that of the offsets that would be. */
+static int64_t read_slab(const box_t *x, int64_t hi, int64_t top, int64_t bot, int deg,
+                         int narrow, terms_t *o) {
+    int64_t d[8] = {0}, key = 0, r1 = x->radix[1], row = top - top % r1, n = o ? o->n : 0;
+    int64_t *keys = o ? o->keys : NULL, *slab64 = (int64_t *)slab; /* locals: a store */
+    acc_t *vals = o ? o->vals : NULL;           /* to o->keys[n] could change o->n */
     int f, rest = deg;
     for (f = 2; f <= x->m; f++) {
         d[f] = f <= x->s ? top / x->lo_w[f] % x->radix[f] : hi / x->hi_w[f] % x->radix[f];
@@ -526,12 +554,19 @@ static void read_slab(const box_t *x, int64_t hi, int64_t top, int64_t bot, int 
     for (;; row -= r1) {
         int64_t e = top - row < r1 - 1 ? top - row : r1 - 1, stop = bot > row ? bot - row : 0;
         if (e > rest) e = rest;
-        for (; e >= stop; e--) {
-            acc_t v = slab[row + e];
+        if (!o && e >= stop) n += e - stop + 1;
+        for (; o && e >= stop; e--) {
+            acc_t v;
+            if (narrow) {
+                v = slab64[row + e];
+                slab64[row + e] = 0;
+            } else {
+                v = slab[row + e];
+                slab[row + e] = 0;
+            }
             keys[n] = key + (e << 8) + (rest - e);
             vals[n] = v;
             n += v != 0;
-            slab[row + e] = 0;
         }
         if (row <= bot) break;
         /* the row below: borrow from the fields at 0 above field 1 */
@@ -544,21 +579,21 @@ static void read_slab(const box_t *x, int64_t hi, int64_t top, int64_t bot, int 
         key -= (int64_t)1 << 8 * f;
         rest++;
     }
-    o->n = n;
+    if (o) o->n = n;
+    return n;
 }
 
-/* The box of the results of a, b and acc, given their peaks (see box_t);
- * -1 when an exponent of a sum could pass 255 and carry, or a key is past
+/* The box of results whose exponent in field f is at most peak[f] (see
+ * box_t); -1 when an exponent could pass 255 and carry, or a key is past
  * 2^56, a sum that carried out of the top field before. */
-static int box_of(box_t *x, const uint8_t *pa, const uint8_t *pb, const uint8_t *pc) {
+static int box_of(box_t *x, const int *peak) {
     int64_t volume = 1;
     int f;
     memset(x, 0, sizeof *x);
     for (f = 0; f < 8; f++) {
-        int peak = pa[f] + pb[f] > pc[f] ? pa[f] + pb[f] : pc[f];
-        if (peak > 255 || (f == 7 && peak)) return -1;
-        x->radix[f] = peak + 1;
-        if (peak && f) x->m = f;
+        if (peak[f] > 255 || (f == 7 && peak[f])) return -1;
+        x->radix[f] = peak[f] + 1;
+        if (peak[f] && f) x->m = f;
     }
     for (f = 1; f <= x->m || f == 1; f++) { /* field 1 always indexes the slab */
         if (x->s == f - 1 && volume * x->radix[f] <= SLAB) {
@@ -583,65 +618,129 @@ static int append(terms_t *o, const sdc_poly *p, int64_t from, int64_t to) {
     return 0;
 }
 
-/* slab[lo_a + lo_b] += sign * va * vb over the terms of run r of a and run
- * q of b, whose offsets are alo and blo. */
-static int run_products(const sdc_poly *a, const int32_t *alo, const run_t *r,
-                        const sdc_poly *b, const int32_t *blo, const run_t *q, int sign) {
+/* Whether every partial sum of every result term of acc + the k products
+ * provably fits int64: max|acc| + sum of min(na, nb) max|a| max|b| < 2^63,
+ * as a key of a product is the sum of at most min(na, nb) of its pairs
+ * (one key of b for each key of a and back). */
+static int fits_int64(const sdc_poly *acc, const prod_t *p, int64_t k) {
+    mag_t bound = acc->mag, t;
+    int64_t i;
+    for (i = 0; i < k; i++) {
+        int64_t n = p[i].a->n < p[i].b->n ? p[i].a->n : p[i].b->n;
+        if (__builtin_mul_overflow(p[i].a->mag, p[i].b->mag, &t)
+            || __builtin_mul_overflow(t, (mag_t)n, &t)
+            || __builtin_add_overflow(bound, t, &bound))
+            return 0;
+    }
+    return bound < (mag_t)1 << 63;
+}
+
+/* The product sign * a * b of a pass.  Both paths multiply the sign into
+ * b's values, which overflows only on -2^127, so a holding none takes b's
+ * place where b holds it: the pairs are the same either way round. */
+static prod_t product(const sdc_poly *a, const sdc_poly *b, int sign) {
+    prod_t p;
+    memset(&p, 0, sizeof p);
+    p.sign = sign;
+    p.a = a;
+    p.b = b;
+    if (sign < 0 && b->mag == MAG_MIN && a->mag != MAG_MIN) {
+        p.a = b;
+        p.b = a;
+    }
+    return p;
+}
+
+/* slab[alo + blo] += sign * va * vb over the terms of run r of product p's
+ * a and run q of its b, each multiply-add checked; or, where narrow is set,
+ * on the slab's int64 values unchecked, which fits_int64 has proven to
+ * hold every partial sum. */
+static int run_products(const prod_t *p, const run_t *r, const run_t *q, int narrow) {
+    const acc_t *av = p->a->vals, *bv = p->b->vals;
+    const int32_t *alo = p->alo;
     int64_t ia, ib;
     for (ib = q->start; ib < q->end; ib++) {
-        acc_t vb, term, *at = slab + blo[ib];
-        if (__builtin_mul_overflow(b->vals[ib], (acc_t)sign, &vb)) return -2;
-        for (ia = r->start; ia < r->end; ia++)
-            if (__builtin_mul_overflow(a->vals[ia], vb, &term)
-                || __builtin_add_overflow(at[alo[ia]], term, &at[alo[ia]]))
-                return -2;
+        if (narrow) {
+            int64_t vb = (int64_t)bv[ib] * p->sign, *at = (int64_t *)slab + p->blo[ib];
+            for (ia = r->start; ia < r->end; ia++) at[alo[ia]] += (int64_t)av[ia] * vb;
+        } else {
+            acc_t vb, term, *at = slab + p->blo[ib];
+            if (__builtin_mul_overflow(bv[ib], (acc_t)p->sign, &vb)) return -2;
+            for (ia = r->start; ia < r->end; ia++)
+                if (__builtin_mul_overflow(av[ia], vb, &term)
+                    || __builtin_add_overflow(at[alo[ia]], term, &at[alo[ia]]))
+                    return -2;
+        }
     }
     return 0;
 }
 
-/* acc += sign * a * b on slabs (see the header), or NOT_SLAB, acc
- * untouched, where the slab path does not apply.  The runs of a and b
- * that share a slab are paired, and the pairs sorted by the slab they
- * fill, largest first. */
-static int slab_fma(sdc_poly *acc, const sdc_poly *a, const sdc_poly *b, int sign) {
-    int da = a->deg, db = b->deg, rc = -1, f;
-    int64_t na, nb, np, ip, jp, ic = 0, clo = 0, chi = -1, need = acc->n;
+/* acc += the sum of the k products (none with an empty operand) on slabs
+ * (see the header), or NOT_SLAB, acc untouched, where the slab path does
+ * not apply.  The runs of each product's a and b that share a slab are
+ * paired, and the pairs of all products sorted together by the slab they
+ * fill, largest first, so each slab is filled once and read out once. */
+static int slab_fma(sdc_poly *acc, prod_t *p, int64_t k) {
+    int deg = p[0].a->deg + p[0].b->deg, peak[8], narrow, rc = -1, f;
+    int64_t i, ip, jp, np = 0, nt = 0, need, ic = 0, clo = 0, chi = -1;
     box_t x;
-    int32_t *alo = NULL, *blo = NULL;
-    run_t *ra = NULL, *rb = NULL;
+    int32_t *lo = NULL;
+    run_t *runs = NULL;
     pair_t *pairs = NULL;
     terms_t o = {NULL, NULL, 0, 0};
-    if (da < 0 || db < 0 || (acc->n && acc->deg != da + db)
-        || box_of(&x, a->peak, b->peak, acc->peak))
-        return NOT_SLAB;
+    for (f = 0; f < 8; f++) peak[f] = acc->peak[f];
+    for (i = 0; i < k; i++) {
+        const sdc_poly *a = p[i].a, *b = p[i].b;
+        if (a->deg < 0 || b->deg < 0 || a->deg + b->deg != deg) return NOT_SLAB;
+        for (f = 0; f < 8; f++)
+            if (a->peak[f] + b->peak[f] > peak[f]) peak[f] = a->peak[f] + b->peak[f];
+        nt += a->n + b->n;
+    }
+    if ((acc->n && acc->deg != deg) || box_of(&x, peak)) return NOT_SLAB;
+    narrow = fits_int64(acc, p, k);
     if (!slab && !(slab = (acc_t *)calloc(SLAB, sizeof(acc_t)))) return -1;
-    alo = (int32_t *)malloc((size_t)a->n * sizeof(int32_t));
-    blo = (int32_t *)malloc((size_t)b->n * sizeof(int32_t));
-    ra = (run_t *)malloc((size_t)a->n * sizeof(run_t));
-    rb = (run_t *)malloc((size_t)b->n * sizeof(run_t));
-    if (!alo || !blo || !ra || !rb) goto done;
-    na = runs_of(&x, a, alo, ra);
-    nb = runs_of(&x, b, blo, rb);
-    np = na * nb;
+    lo = (int32_t *)malloc((size_t)nt * sizeof(int32_t));
+    runs = (run_t *)malloc((size_t)nt * sizeof(run_t));
+    if (!lo || !runs) goto done;
+    for (i = 0, nt = 0; i < k; i++) {
+        p[i].alo = lo + nt;
+        p[i].ra = runs + nt;
+        p[i].na = runs_of(&x, p[i].a, p[i].alo, p[i].ra);
+        nt += p[i].a->n;
+        p[i].blo = lo + nt;
+        p[i].rb = runs + nt;
+        p[i].nb = runs_of(&x, p[i].b, p[i].blo, p[i].rb);
+        nt += p[i].b->n;
+        np += p[i].na * p[i].nb;
+    }
     if (!(pairs = (pair_t *)malloc((size_t)np * sizeof(pair_t)))) goto done;
-    for (ip = 0; ip < np; ip++) {
-        const run_t *r = &ra[ip / nb], *q = &rb[ip % nb];
-        pairs[ip].ra = (int32_t)(ip / nb);
-        pairs[ip].rb = (int32_t)(ip % nb);
-        pairs[ip].hi = r->hi + q->hi;
-        pairs[ip].top = alo[r->start] + blo[q->start];
-        pairs[ip].bot = alo[r->end - 1] + blo[q->end - 1];
+    for (i = 0, ip = 0; i < k; i++) {
+        for (jp = 0; jp < p[i].na * p[i].nb; jp++, ip++) {
+            const run_t *r = &p[i].ra[jp / p[i].nb], *q = &p[i].rb[jp % p[i].nb];
+            pairs[ip].k = (int32_t)i;
+            pairs[ip].ra = (int32_t)(jp / p[i].nb);
+            pairs[ip].rb = (int32_t)(jp % p[i].nb);
+            pairs[ip].hi = r->hi + q->hi;
+            pairs[ip].top = p[i].alo[r->start] + p[i].blo[q->start];
+            pairs[ip].bot = p[i].alo[r->end - 1] + p[i].blo[q->end - 1];
+        }
     }
     qsort(pairs, (size_t)np, sizeof(pair_t), by_slab_down);
-    /* room for acc and every offset the products reach, so that the terms
-     * are rarely moved; a slab that acc's terms widen asks for more */
+    /* room for the most terms the pass can leave: acc's, and in each slab
+     * no more than the offsets read there and than the products made there
+     * (read_slab writes one term past the last it keeps) */
+    need = acc->n + 1;
     for (ip = 0; ip < np; ip = jp) {
-        int64_t top = -1, bot = SLAB;
+        int64_t top = -1, bot = SLAB, made = 0, slots;
         for (jp = ip; jp < np && pairs[jp].hi == pairs[ip].hi; jp++) {
+            const prod_t *q = &p[pairs[jp].k];
+            const run_t *r = &q->ra[pairs[jp].ra], *u = &q->rb[pairs[jp].rb];
             if (pairs[jp].top > top) top = pairs[jp].top;
             if (pairs[jp].bot < bot) bot = pairs[jp].bot;
+            made += (r->end - r->start) * (u->end - u->start);
         }
-        need += top - bot + 1;
+        slots = read_slab(&x, pairs[ip].hi, top, bot, deg, narrow, NULL);
+        need += made < slots ? made : slots;
     }
     if (reserve(&o, need)) goto done;
     if (acc->n) place(&x, acc->keys[0], &clo, &chi);
@@ -653,33 +752,37 @@ static int slab_fma(sdc_poly *acc, const sdc_poly *a, const sdc_poly *b, int sig
             if (ic + 1 < acc->n) place(&x, acc->keys[ic + 1], &clo, &chi);
         rc = append(&o, acc, from, ic);
         for (; ic < acc->n && chi == hi; ic++) {
-            slab[clo] = acc->vals[ic];
+            if (narrow) ((int64_t *)slab)[clo] = (int64_t)acc->vals[ic];
+            else slab[clo] = acc->vals[ic];
             if (clo > top) top = clo;
             if (clo < bot) bot = clo;
             if (ic + 1 < acc->n) place(&x, acc->keys[ic + 1], &clo, &chi);
         }
         for (jp = ip; jp < np && pairs[jp].hi == hi; jp++) {
+            const prod_t *q = &p[pairs[jp].k];
             if (pairs[jp].top > top) top = pairs[jp].top;
             if (pairs[jp].bot < bot) bot = pairs[jp].bot;
-            if (rc == 0)
-                rc = run_products(a, alo, &ra[pairs[jp].ra], b, blo, &rb[pairs[jp].rb], sign);
+            if (rc == 0) rc = run_products(q, &q->ra[pairs[jp].ra], &q->rb[pairs[jp].rb], narrow);
         }
-        if (rc == 0) rc = reserve(&o, top - bot + 1);
-        if (rc == 0) read_slab(&x, hi, top, bot, da + db, &o);
-        else memset(slab + bot, 0, (size_t)(top - bot + 1) * sizeof(acc_t));
+        if (rc == 0) {
+            read_slab(&x, hi, top, bot, deg, narrow, &o);
+        } else {
+            size_t w = narrow ? sizeof(int64_t) : sizeof(acc_t);
+            memset((char *)slab + (size_t)bot * w, 0, (size_t)(top - bot + 1) * w);
+        }
     }
     if (rc == 0) rc = append(&o, acc, ic, acc->n);
     if (rc == 0) {
         terms_to_poly(&o, acc);
         /* the box bounds the exponents of what the products left */
-        acc->deg = acc->n ? da + db : -1;
+        acc->deg = acc->n ? deg : -1;
         for (f = 0; f < 8; f++) acc->peak[f] = (uint8_t)(x.radix[f] - 1);
     }
 done:
     if (rc) {
         free(o.keys); free(o.vals);
     }
-    free(alo); free(blo); free(ra); free(rb); free(pairs);
+    free(lo); free(runs); free(pairs);
     return rc;
 }
 
@@ -687,23 +790,50 @@ done:
  * field at bit shift agree, with that field cleared in their sum; acc must
  * be neither a nor b.  shift is a multiple of 8 up to 56, and at 56, past
  * the fields of every key (keys are below 2^56), every exponent there is 0,
- * so every pair is multiplied: the plain product the determinant DP runs,
- * on the slab path where it applies.  A smaller shift pairs each power of
- * one variable in a with the same power in b, as the restriction of a
+ * so every pair is multiplied: the plain product, on the slab path where it
+ * applies (sdc_fma_sum of one product).  A smaller shift pairs each power
+ * of one variable in a with the same power in b, as the restriction of a
  * column to a hyperplane does. */
 int sdc_fma(sdc_poly *acc, const sdc_poly *a, const sdc_poly *b, int sign, int shift) {
+    prod_t p;
     int rc;
     if (a->n == 0 || b->n == 0) return 0;
-    /* both paths multiply the sign into b's values, which overflows only on
-     * -2^127, so a holding none takes b's place: the pairs are the same
-     * either way round */
-    if (sign < 0 && holds_min(b) && !holds_min(a)) {
-        const sdc_poly *t = a;
-        a = b;
-        b = t;
+    p = product(a, b, sign);
+    if (shift == 56 && (rc = slab_fma(acc, &p, 1)) != NOT_SLAB) return rc;
+    return hash_fma(acc, p.a, p.b, sign, shift);
+}
+
+/* acc += the sum over i < k of signs[i] * a[i] * b[i], the plain products;
+ * acc must be none of the operands.  One slab pass where it applies to all
+ * k products (every operand homogeneous, their products of one degree, that
+ * of acc unless acc is zero, and no exponent able to pass 255).  Otherwise
+ * one fma after another on a copy of acc, which replaces acc when all
+ * succeed: a refused sum leaves acc as it was either way. */
+int sdc_fma_sum(sdc_poly *acc, int64_t k, sdc_poly *const *a, sdc_poly *const *b,
+                const int *signs) {
+    prod_t *p = (prod_t *)malloc((size_t)(k ? k : 1) * sizeof(prod_t));
+    int64_t i, n = 0;
+    int rc = 0;
+    if (!p) return -1;
+    for (i = 0; i < k; i++)
+        if (a[i]->n && b[i]->n) p[n++] = product(a[i], b[i], signs[i]);
+    if (n && (rc = slab_fma(acc, p, n)) == NOT_SLAB) {
+        sdc_poly t = *acc;
+        terms_t copy = {NULL, NULL, 0, 0};
+        rc = append(&copy, acc, 0, acc->n);
+        t.keys = copy.keys;
+        t.vals = copy.vals;
+        for (i = 0; i < n && rc == 0; i++) rc = sdc_fma(&t, p[i].a, p[i].b, p[i].sign, 56);
+        if (rc == 0) {
+            poly_set(acc, t.keys, t.vals, t.n);
+            acc->deg = t.deg;
+            memcpy(acc->peak, t.peak, sizeof t.peak);
+        } else {
+            free(t.keys); free(t.vals);
+        }
     }
-    if (shift == 56 && (rc = slab_fma(acc, a, b, sign)) != NOT_SLAB) return rc;
-    return hash_fma(acc, a, b, sign, shift);
+    free(p);
+    return rc;
 }
 
 /* -- JSON text --------------------------------------------------------------- */

@@ -24,10 +24,11 @@ determinant, ``verify.check_membership`` sums its hyperplane restrictions
 on the kernel, on ``get_impl()``'s class wherever the ring fits it.  Two
 interchangeable implementations provide the kernel polynomial
 (``IntPolyLike``: ``from_dict``, ``to_dict``, ``take_dict``, ``field_peaks``,
-``nnz``, ``is_zero``, ``fma``, ``lead``, and on ``IntPoly`` only
-``write_terms``; ``fma`` is the one arithmetic operation, and two
-polynomials are compared by subtracting one from the other with it and
-asking ``is_zero``).  ``fma(a, b, sign, field=f)``, with
+``nnz``, ``is_zero``, ``fma``, ``fma_sum``, ``lead``, and on ``IntPoly``
+only ``write_terms``; the multiply-accumulate ``fma`` and its sum over
+several products ``fma_sum`` are the arithmetic, and two polynomials are
+compared by subtracting one from the other with ``fma`` and asking
+``is_zero``).  ``fma(a, b, sign, field=f)``, with
 f the bit offset of an exponent field (keyword only), multiplies only the
 term pairs whose exponents in that field agree and clears the field in
 their sum: membership multiplies each x_s^e part of a column by its
@@ -44,28 +45,38 @@ restriction entry in one call.
                    ``_detkernel.c``, called through ctypes; its int64 keys
                    must stay below 2^56 (``KEY_LIMIT``), so at most 7
                    variables.  The C code checks each addition and
-                   multiplication where it does it: leaving [-2^127, 2^127)
+                   multiplication where it does it, or proves first that
+                   int64 holds every partial sum: leaving [-2^127, 2^127)
                    raises OverflowError, nothing wraps, and the refused
-                   ``fma`` leaves its accumulator as it was.  Its
+                   ``fma`` or ``fma_sum`` leaves its accumulator as it
+                   was.  Its
                    ``write_terms(write, den, nvars, depth)`` hands
                    ``write`` the JSON text of self / den, which C formats
                    from the sorted arrays into a 1 MiB buffer of whole
                    terms, each reduced by its own gcd with den.
 
-``IntPoly.fma`` builds the new terms beside the old ones by one of two
-paths.  The plain product of two homogeneous polynomials into an empty
-accumulator or one of their summed degree, with no exponent able to pass
-255, takes the slab path; every plain product that ``verify`` makes does.
-The last exponent of a result term is then implied by the degree, and the
-others index a dense box of (largest exponent + 1) values per variable, in
-which the index of ka + kb is the sum of the indices of ka and kb.  The low
-fields index one slab of at most 2^17 values (2 MiB, a core's L2) and the
-high fields name the slab; the slabs fill from the top key down, each by
-one checked multiply-add per term pair, and each is read out in key order,
-so the terms come out sorted with no sort and no comparison of keys.  On
-rank-5 ``expand`` (2-vCPU VM, one traced run each) that took the traced
-``fma`` time for the same 32.1 million term pairs from 0.70 s on a hash
-table to 0.20 s, and the minor DP from 0.62 s to 0.17 s.
+``IntPoly.fma`` and ``IntPoly.fma_sum`` build the new terms beside the
+old ones by one of two paths.  A sum of plain products of homogeneous
+polynomials, all of one degree, into an empty accumulator or one of that
+degree, with no exponent able to pass 255, takes the slab path in one pass;
+every plain product that ``verify`` makes does, and each minor of the DP is
+one such sum.  The last exponent of a result term is then implied by the
+degree, and the others index a dense box of (largest exponent + 1) values
+per variable, in which the index of ka + kb is the sum of the indices of ka
+and kb.  The low fields index one slab of at most 2^17 values (2 MiB, a
+core's L2) and the high fields name the slab; the term pairs of all the
+products fill the slabs from the top key down, and each slab is read out
+once in key order, so the terms come out sorted with no sort and no
+comparison of keys.  When max|acc| + the sum over the products of
+min(nnz a, nnz b) * max|a| * max|b| is below 2^63, which bounds every
+partial sum of every result term, the slab holds int64 values and no
+multiply-add is checked; otherwise it holds 128-bit values and each one is.
+All 30.7 million plain term pairs of rank-5 ``expand`` pass that bound.  On a
+2-vCPU VM the slab path took the traced ``fma`` time of rank-5 ``expand``
+from 0.70 s on a hash table to 0.20 s, and the minor DP from 0.62 s to
+0.17 s; one int64 pass per minor then took the DP's CPU time from about
+0.12 s to about 0.05 s.  A sum that the slab path does not take runs one
+``fma`` after another on a copy of the accumulator.
 
 Every other ``fma`` (the field-paired membership sums, non-homogeneous
 operands, exponents that could pass 255) takes the hash path: the
@@ -136,7 +147,20 @@ class IntPolyLike(Protocol):
     def nnz(self) -> int: ...
     def is_zero(self) -> bool: ...
     def fma(self, a, b, sign: int, *, field: int | None = None) -> None: ...
+    def fma_sum(self, products: Sequence[tuple]) -> None: ...
     def lead(self) -> tuple[int, int] | None: ...
+
+
+def _checked_products(acc, products) -> list[tuple]:
+    """The (a, b, sign) triples of ``products`` for ``acc.fma_sum``, as a
+    list, after checking every sign and that no operand is acc."""
+    products = list(products)
+    for a, b, sign in products:
+        if sign != 1 and sign != -1:
+            raise ValueError("sign must be +1 or -1")
+        if a is acc or b is acc:
+            raise ValueError("fma operands must not alias the accumulator")
+    return products
 
 
 class DictPoly:
@@ -194,6 +218,11 @@ class DictPoly:
             if e in a_parts:
                 fma_terms(self.d, a_parts[e], part, sign)
 
+    def fma_sum(self, products) -> None:
+        """``IntPoly.fma_sum``: one ``fma`` per product."""
+        for a, b, sign in _checked_products(self, products):
+            self.fma(a, b, sign)
+
     def _parts(self, field: int) -> dict[int, dict]:
         """``split_by_field(self.d, field)``, kept until the dict changes or
         another field is asked for."""
@@ -232,6 +261,9 @@ _SIGNATURES = {
     "sdc_nnz": (c_int64, [c_void_p]),
     "sdc_dump": (None, [c_void_p, _P64, POINTER(c_uint64), _P64]),
     "sdc_fma": (c_int, [c_void_p, c_void_p, c_void_p, c_int, c_int]),
+    "sdc_fma_sum": (
+        c_int, [c_void_p, c_int64, POINTER(c_void_p), POINTER(c_void_p), POINTER(c_int)]
+    ),
     "sdc_lead": (c_int64, [c_void_p, POINTER(c_uint64), _P64]),
     "sdc_peaks": (None, [c_void_p, POINTER(c_uint8)]),
     "sdc_write_json": (
@@ -364,10 +396,11 @@ def _check(rc: int) -> None:
 class IntPoly:
     """Packed-key integer polynomial backed by the sorted C term arrays of
     ``_detkernel.c``.  Values lie in [-2^127, 2^127): loading one outside
-    that range, or an ``fma`` whose arithmetic would leave it, raises
-    OverflowError; nothing wraps.  The sign of an ``fma`` goes into an
-    operand that holds no -2^127, so only an ``fma`` whose operands both
-    hold -2^127 may refuse a result that fits."""
+    that range, or an ``fma`` or ``fma_sum`` whose arithmetic would leave
+    it, raises OverflowError; nothing wraps.  The sign of an ``fma`` goes
+    into an operand that holds no -2^127, so only an ``fma`` whose operands
+    both hold -2^127, or an ``fma_sum`` whose partial sums leave the range,
+    may refuse a result that fits."""
 
     __slots__ = ("_t",)
 
@@ -457,6 +490,22 @@ class IntPoly:
         elif field not in _FIELDS:
             raise ValueError(f"field must be one of {list(_FIELDS)}")
         _check(_lib.sdc_fma(self._t, a._t, b._t, sign, field))
+
+    def fma_sum(self, products) -> None:
+        """self += the sum of sign * a * b over the (a, b, sign) triples of
+        ``products`` (no a or b may be self), in one pass of the C kernel
+        where its slab path applies to every product, and as one ``fma``
+        after another otherwise.
+
+        Raises OverflowError if a product or a partial sum would leave the
+        value range; self is then left as it was."""
+        products = _checked_products(self, products)
+        k = len(products)
+        a, b, signs = zip(*products) if k else ((), (), ())
+        _check(_lib.sdc_fma_sum(
+            self._t, k, (c_void_p * k)(*(p._t for p in a)), (c_void_p * k)(*(p._t for p in b)),
+            (c_int * k)(*signs),
+        ))
 
     def lead(self) -> tuple[int, int] | None:
         """(largest key with a nonzero value, that value); None if zero."""
@@ -577,8 +626,9 @@ def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> tuple:
     Dynamic programming over column subsets: after processing r rows the
     table holds the minor of rows 0..r-1 for every r-subset of columns, so
     it holds the cofactor before the last row.  Laplace expansion along the
-    last added row gives the recurrence, with sign (-1)^(r + position).
-    Deterministic and division-free.
+    last added row gives the recurrence, with sign (-1)^(r + position):
+    each minor is one ``fma_sum`` of its nonzero products.  Deterministic
+    and division-free.
     """
     n = len(rows)
     if n == 0:
@@ -603,15 +653,21 @@ def det_minor_expansion(rows: Sequence[Sequence[IntPolyLike]], impl) -> tuple:
         uses = dict.fromkeys(minors, n - r)
         nxt = {}
         for subset in combinations(range(n), r + 1):
-            acc = impl.from_dict({})
+            products = []
             for pos, col in enumerate(subset):
                 key = subset[:pos] + subset[pos + 1 :]
                 uses[key] -= 1
                 sub = minors.pop(key) if uses[key] == 0 else minors[key]
                 entry = rows[r][col]
-                if sub.is_zero() or entry.is_zero():
-                    continue
-                acc.fma(sub, entry, 1 if (r + pos) % 2 == 0 else -1)
+                if not (sub.is_zero() or entry.is_zero()):
+                    products.append((sub, entry, 1 if (r + pos) % 2 == 0 else -1))
+            acc = impl.from_dict({})
+            # a lone product goes through fma, which perfbench's tracer wraps
+            # to time the DP's levels
+            if len(products) == 1:
+                acc.fma(*products[0])
+            else:
+                acc.fma_sum(products)
             nxt[subset] = acc
         minors = nxt
     return minors[tuple(range(n))], cofactor

@@ -680,6 +680,120 @@ def check_range_ends(impl):
         assert out.to_dict() == acc
 
 
+# (acc, products) for acc += the sum of sign * a * b over the (a, b, sign)
+# products in one call.  The compiled kernel sums on int64 slabs when
+# max|acc| + the sum of min(nnz a, nnz b) * max|a| * max|b| is below 2^63.
+# With m = 2^30, (m x + m y)^2 holds 2 m^2 x y, two pairs at one key, and
+# 2m x * 2m y adds 4 m^2 there: 3 * 2^61 in all, so acc = +-(2^61 - 1)
+# puts the bound and the sum at x y at 2^63 - 1, and acc = +-2^61 at 2^63
+_X, _Y = _pack((1, 0, 0)), _pack((0, 1, 0))
+
+
+def _crossed(acc, sign):
+    square = {_X: 2**30, _Y: 2**30}
+    return {_X + _Y: acc}, [(square, square, sign), ({_X: 2**31}, {_Y: 2**31}, sign)]
+
+
+_SUM_AT_THE_INT64_BOUND = [_crossed(2**61 - 1, 1), _crossed(-(2**61 - 1), -1)]
+_SUM_PAST_THE_INT64_BOUND = [_crossed(2**61, 1), _crossed(-(2**61), -1)]
+# where no one slab pass takes every product: none, one, products of two
+# degrees, an operand that is not homogeneous, an exponent sum past 255
+# (which carries into the next field, as DictPoly's key sums do)
+_SUM_FALLBACKS = [
+    ({_X: 3}, []),
+    ({}, [({_X: 2}, {_Y: 3}, 1)]),
+    ({_X: 1}, [({_X: 2}, {_Y: 3}, 1), ({0: 5}, {_X: 7}, -1)]),
+    ({}, [({_X: 1, 0: 2}, {_Y: 3}, 1), ({_Y: 1}, {_X: 1}, -1)]),
+    (
+        {},
+        [({_pack((0, 0, 200)): 3}, {_pack((0, 0, 100)): 5}, 1),
+         ({_pack((0, 1, 199)): 1}, {_pack((0, 0, 100)): 2}, 1)],
+    ),
+]
+# past the value range, though each product alone fits: on one slab pass,
+# and one fma after another (the first operand is not homogeneous)
+_SUM_OVERFLOWS = [
+    ({_SLAB_KEY: 2**126}, [({_SLAB_A: 2**63}, {_SLAB_B: 2**62}, 1)] * 2),
+    ({_X: 5}, [({_X: 1, 0: 1}, {0: 1}, 1), ({0: 2**126}, {_X: 2}, 1), ({0: 2**126}, {_X: 2}, 1)]),
+]
+
+
+def _fma_sum(impl, acc, products):
+    out = impl.from_dict(acc)
+    out.fma_sum([(impl.from_dict(a), impl.from_dict(b), sign) for a, b, sign in products])
+    return out
+
+
+def check_sums(impl):
+    """The named fma_sum cases on the compiled kernel ``impl``, against
+    DictPoly (a function, so that a sanitizer build can run it): at the
+    int64 bound, just past it, where the sum falls back to one fma after
+    another, and past the value range, where it leaves acc as it was."""
+    cases = _SUM_AT_THE_INT64_BOUND + _SUM_PAST_THE_INT64_BOUND + _SUM_FALLBACKS
+    for acc, products in cases:
+        got = _fma_sum(impl, acc, products).to_dict()
+        assert got == _fma_sum(DictPoly, acc, products).to_dict()
+    for cases, total in [(_SUM_AT_THE_INT64_BOUND, 2**63 - 1), (_SUM_PAST_THE_INT64_BOUND, 2**63)]:
+        for (acc, products), sign in zip(cases, (1, -1)):
+            assert _fma_sum(impl, acc, products).to_dict()[_X + _Y] == sign * total
+    for acc, products in _SUM_OVERFLOWS:
+        out = impl.from_dict(acc)
+        loaded = [(impl.from_dict(a), impl.from_dict(b), sign) for a, b, sign in products]
+        with pytest.raises(OverflowError):
+            out.fma_sum(loaded)
+        assert out.to_dict() == acc
+
+
+@_COMPILED
+def test_compiled_fma_sum_at_the_int64_bound_and_past_the_range():
+    check_sums(get_impl(fast=True))
+
+
+def test_fma_sum_aliasing_rejected():
+    for impl in {DictPoly, get_impl()}:
+        acc, a = impl.from_dict({_X: 1}), impl.from_dict({_Y: 2})
+        for products in ([(a, a, 1), (acc, a, 1)], [(a, acc, -1)], [(a, a, 2)]):
+            with pytest.raises(ValueError):
+                acc.fma_sum(products)
+            assert acc.to_dict() == {_X: 1}
+
+
+@st.composite
+def _fma_sum_operands(draw):
+    """(acc, products) in 3 variables: up to 5 products whose operands are
+    homogeneous and whose products share one degree, as a minor of the DP
+    is summed, except that an operand now and then has a term of another
+    degree.  Coefficients are small, near 2^31 or up to 2^60, so that the
+    int64 bound falls on either side and no sum leaves the value range."""
+    deg = draw(st.integers(0, 6))
+    coeff = st.integers(-50, 50) | st.integers(-(2**32), 2**32) | st.integers(-(2**60), 2**60)
+
+    def key(d):
+        e1 = draw(st.integers(0, d))
+        e2 = draw(st.integers(0, d - e1))
+        return _pack((e1, e2, d - e1 - e2))
+
+    def terms(d, max_size=6):
+        size = draw(st.integers(0, max_size))
+        stray = draw(st.integers(0, 9)) == 0
+        return {key(draw(st.integers(0, 6)) if stray else d): draw(coeff) for _ in range(size)}
+
+    products = []
+    for _ in range(draw(st.integers(0, 5))):
+        da = draw(st.integers(0, deg))
+        products.append((terms(da), terms(deg - da), draw(st.sampled_from((1, -1)))))
+    acc = terms(draw(st.sampled_from((deg, deg, deg + 1))), 8)
+    return acc, products
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fma_sum_operands())
+def test_fma_sum_matches_dict_fma_sum(operands):
+    acc, products = operands
+    expected = _fma_sum(DictPoly, acc, products).to_dict()
+    assert _fma_sum(get_impl(), acc, products).to_dict() == expected
+
+
 @pytest.mark.parametrize("operands", _FMA_FITS)
 def test_fma_at_the_range_ends(operands):
     acc, a, b, sign = operands
@@ -837,11 +951,11 @@ def test_det_minor_expansion_cofactor(n, fast):
         assert int_dict_to_poly(det.to_dict(), 1, nv) == bareiss_det(matrix)
 
 
-_UBSAN_RUN = """
+_SANITIZED_RUN = """
 import sys
 from shidcone import detkernel
 
-detkernel._CFLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+detkernel._CFLAGS += tuple(sys.argv[3].split())
 detkernel._cache_dir = lambda: sys.argv[1]
 try:
     detkernel._lib = detkernel._open_kernel()
@@ -854,9 +968,11 @@ from shidcone import cli
 from shidcone.verify import saito_verify
 
 test_detkernel.check_range_ends(detkernel.IntPoly)
+test_detkernel.check_sums(detkernel.IntPoly)
 test_detkernel.check_dumps(detkernel.IntPoly)
 test_detkernel.check_json(detkernel.IntPoly)
-assert saito_verify(3, method="expand").saito_ok
+for ell in range(3, int(sys.argv[4]) + 1):
+    assert saito_verify(ell, method="expand").saito_ok
 assert saito_verify(3, method="certify").det_phi
 out = sys.argv[1] + "/det.json"
 argv = ["verify", "--ell", "3", "--format", "json", "--include-det", "--out", out]
@@ -864,21 +980,52 @@ assert cli.main(argv) == 0 and '"det_phi": [' in open(out).read()
 """
 
 
-@pytest.mark.skipif(detkernel._find_compiler() is None, reason="no C compiler on PATH")
-def test_kernel_under_the_undefined_behaviour_sanitizer(tmp_path):
-    # a sanitizer build aborts on any signed overflow the checked arithmetic
-    # misses, such as negating -2**127
+def _run_sanitized(tmp_path, flags, top_rank, env=None):
+    """Run _SANITIZED_RUN on a kernel built with the sanitizer flags into
+    tmp_path, with rank-3 to rank-top_rank expand; skip if the build or
+    its load fails."""
     src = os.path.dirname(os.path.dirname(detkernel.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", _UBSAN_RUN, str(tmp_path), os.path.dirname(__file__)],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", _SANITIZED_RUN, str(tmp_path), os.path.dirname(__file__),
+         flags, str(top_rank)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **(env or {})},
+        timeout=120,
     )
     if proc.returncode == 77:
         pytest.skip(f"no sanitizer build of the kernel: {proc.stdout.strip()}")
     assert "runtime error" not in proc.stderr
+    assert "AddressSanitizer" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(detkernel._find_compiler() is None, reason="no C compiler on PATH")
+def test_kernel_under_the_undefined_behaviour_sanitizer(tmp_path):
+    # a sanitizer build aborts on any signed overflow the checked arithmetic
+    # misses, such as negating -2**127, or that the int64 bound lets through
+    _run_sanitized(tmp_path, "-fsanitize=undefined -fno-sanitize-recover=all", 3)
+
+
+def _libasan() -> str | None:
+    """Path of the C compiler's libasan.so, or None."""
+    cc = detkernel._find_compiler()
+    if cc is None:
+        return None
+    proc = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True, text=True)
+    path = proc.stdout.strip()
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+def test_kernel_under_the_address_sanitizer(tmp_path):
+    # an ASan build aborts on a read or write past an array the kernel
+    # sized (offsets, runs, the slab, the output it reserved), a use after
+    # free or a double free; Python is not instrumented, so the runtime is
+    # preloaded, and it leaks by design
+    libasan = _libasan()
+    if libasan is None:
+        pytest.skip("no C compiler with libasan.so")
+    env = {"LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
+    _run_sanitized(tmp_path, "-fsanitize=address,undefined -fno-sanitize-recover=all", 4, env)
 
 
 @_COMPILED
